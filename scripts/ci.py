@@ -15,7 +15,10 @@ Runs the repository's quality gates in order, fail-fast::
                        crashes/hangs/driver kill
     stream-chaos       the streaming auditor's crash/hang/torn-tail drills:
                        every scenario must recover to a byte-identical
-                       replay with no orphaned segments
+                       replay with no orphaned segments; then the hypothesis
+                       property suite pinning every batch's re-score to a
+                       scalar oracle and the end state to a from-scratch
+                       audit
     data-verify        the sharded dataset plane's gates: strict
                        no-baseline lint of the store package (R015
                        included), the data-chaos drills (bit flips, torn
@@ -29,8 +32,10 @@ Runs the repository's quality gates in order, fail-fast::
                        every drill must converge to a byte-identical
                        replay with zero acked-but-lost batches
     examples           every script in examples/ end to end
-    bench-regression   fresh IBS + pool + stream + data + serve benchmarks
-                       vs the committed baselines
+    bench-regression   the benchmark harness's own tests (bench/tests:
+                       every traced layer hook must still resolve in src/),
+                       then fresh IBS + pool + stream + data + serve
+                       benchmarks vs the committed baselines
 
 Each stage runs as a subprocess with ``PYTHONPATH=src`` and is timed through
 a :mod:`repro.obs` span; the run ends with a per-stage status table and a
@@ -105,7 +110,14 @@ def stage_commands(
         ),
         (
             "stream-chaos",
-            [[PYTHON, "-m", "repro.stream.chaos"]],
+            [
+                [PYTHON, "-m", "repro.stream.chaos"],
+                # The equivalence proof: every batch's re-score equals the
+                # scalar per-region oracle, and the streamed end state a
+                # from-scratch identify_ibs, across random schemas, delta
+                # sequences, distance thresholds and hysteresis.
+                [PYTHON, "-m", "pytest", "-q", "tests/test_properties_stream.py"],
+            ],
         ),
         (
             "data-verify",
@@ -157,6 +169,10 @@ def stage_commands(
         (
             "bench-regression",
             [
+                # The benchmark harness wraps program entry points by name
+                # (bench/layers.py); a rename under src/ must fail here,
+                # not in the next traced run.
+                [PYTHON, "-m", "pytest", "bench/tests", "-q"],
                 [PYTHON, "-m", "pytest", "benchmarks/test_engine_comparison.py",
                  "--benchmark-only", f"--benchmark-json={bench_json}", "-s"],
                 [PYTHON, "scripts/check_bench.py", bench_json],

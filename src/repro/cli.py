@@ -850,6 +850,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         controller=controller,
     )
     host, port = gateway.address
+    # The drain handlers go in before the ready line: a wrapper may send
+    # SIGTERM as soon as it reads the line, before run() starts serving.
+    gateway.install_signal_handlers()
     # Ready line: one JSON document with the bound address (port 0 resolves
     # here), so wrappers can parse it and know the gateway is accepting.
     sys.stdout.buffer.write(

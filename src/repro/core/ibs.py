@@ -152,6 +152,46 @@ def region_report(
     )
 
 
+def score_cells(
+    pos: np.ndarray,
+    neg: np.ndarray,
+    npos: np.ndarray,
+    nneg: np.ndarray,
+    tau_c: float,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score every cell of a node at once from its own and neighbour counts.
+
+    Returns ``(ratio, nratio, difference, size_ok, biased)`` arrays of the
+    counts' shape: the Definition-3 imbalance scores (``-1`` sentinel), the
+    sentinel-aware score difference, the ``|r| > k`` size test, and the
+    Definition-5 membership test.  Entry for entry these equal
+    :func:`~repro.core.imbalance.imbalance_score`,
+    :func:`~repro.core.imbalance.score_difference` and
+    :func:`~repro.core.imbalance.is_biased` on the same integers (same
+    IEEE-754 ratios and differences).  Counts are not checked for sign;
+    callers that need :func:`imbalance_score`'s check make it on the cells
+    they report.
+    """
+    if tau_c < 0:
+        raise ValueError(f"tau_c must be non-negative, got {tau_c}")
+    size_ok = (pos + neg) >= k + 1
+
+    ratio = np.full(pos.shape, RATIO_UNDEFINED)
+    np.divide(pos, neg, out=ratio, where=neg > 0)
+    nratio = np.full(pos.shape, RATIO_UNDEFINED)
+    np.divide(npos, nneg, out=nratio, where=nneg > 0)
+
+    r_undef = neg == 0
+    n_undef = nneg == 0
+    difference = np.abs(ratio - nratio)
+    difference = np.where(r_undef ^ n_undef, np.inf, difference)
+    difference = np.where(r_undef & n_undef, 0.0, difference)
+
+    biased = size_ok & (difference > tau_c)
+    return ratio, nratio, difference, size_ok, biased
+
+
 def _vectorized_biased_reports(
     hierarchy: Hierarchy,
     node: HierarchyNode,
@@ -181,21 +221,10 @@ def _vectorized_biased_reports(
     if node.max_cell_size <= k:
         return []
     pos, neg = node.pos, node.neg
-    size_ok = (pos + neg) >= k + 1
     npos, nneg = vectorized_neighbor_counts(hierarchy, node, T, cache=cache)
-
-    ratio = np.full(node.shape, RATIO_UNDEFINED)
-    np.divide(pos, neg, out=ratio, where=neg > 0)
-    nratio = np.full(node.shape, RATIO_UNDEFINED)
-    np.divide(npos, nneg, out=nratio, where=nneg > 0)
-
-    r_undef = neg == 0
-    n_undef = nneg == 0
-    difference = np.abs(ratio - nratio)
-    difference = np.where(r_undef ^ n_undef, np.inf, difference)
-    difference = np.where(r_undef & n_undef, 0.0, difference)
-
-    biased = size_ok & (difference > tau_c)
+    ratio, nratio, difference, _size_ok, biased = score_cells(
+        pos, neg, npos, nneg, tau_c, k
+    )
     reports = []
     for flat in np.flatnonzero(biased.reshape(-1)):
         coords = np.unravel_index(int(flat), node.shape) if node.shape else ()

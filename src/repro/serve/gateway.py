@@ -169,15 +169,28 @@ class AuditGateway:
         )
         self._serve_thread.start()
 
+    def install_signal_handlers(self) -> None:
+        """Make SIGTERM/SIGINT request a graceful drain (idempotent).
+
+        Must run on the main thread.  ``repro serve`` calls it before it
+        prints its ready line, so a signal sent as soon as that line is
+        read drains the gateway instead of killing the process.
+        """
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, self._drain_on_signal)
+
+    def _drain_on_signal(self, signum: int, frame: object) -> None:
+        self.request_drain()
+
     def run(self) -> None:
         """Serve in the calling thread until a drain is requested.
 
-        Installs SIGTERM/SIGINT handlers that trigger a graceful drain:
-        stop accepting, finish in-flight requests, flush and close the
-        service.  This is the ``repro serve`` entry point.
+        Installs the SIGTERM/SIGINT drain handlers
+        (:meth:`install_signal_handlers`): stop accepting, finish in-flight
+        requests, flush and close the service.  This is the ``repro serve``
+        entry point.
         """
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(signum, lambda *_: self.request_drain())
+        self.install_signal_handlers()
         try:
             self.server.serve_forever()
         finally:

@@ -13,9 +13,16 @@ audit.  Applying a batch is O(deltas), independent of the total row count:
    cell ``c`` perturbs the projection ``proj_N(c)`` itself plus every
    cell within the Hamming budget of it (the neighbourhood relation is
    symmetric, so those are exactly the cells that count ``proj_N(c)`` in
-   their neighbourhood); only those cells are re-scored through the same
-   :func:`~repro.core.ibs.region_report` scalar path the batch engines
-   share.
+   their neighbourhood).  This is one masked array pass per node: the
+   changed cells are marked in a boolean leaf array, projected onto the
+   node with ``any`` over the dropped axes, and grown to the Hamming ball
+   by ORing ``any(axis=S, keepdims=True)`` over the ``C(d, budget)`` axis
+   subsets ``S``.  The node is then scored as whole arrays — the
+   vectorized engine's :func:`~repro.core.neighbors.vectorized_neighbor_counts`
+   and :func:`~repro.core.ibs.score_cells` — and only its dirty cells are
+   materialised into reports, in C order (which is sorted coordinate
+   order).  A node whose largest cell is ≤ ``k`` skips the neighbour
+   counts: every dirty cell there is below the size threshold.
 
 The resulting report set — and its ordering — is pinned byte-identical to
 a from-scratch ``identify_ibs`` over the materialised data by a
@@ -26,22 +33,25 @@ delegated to the :class:`~repro.stream.monitor.DriftMonitor`.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.hierarchy import Hierarchy
+from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.ibs import (
-    METHOD_OPTIMIZED,
     METHOD_VECTORIZED,
     RegionReport,
     node_biased_reports,
+    # Not called here, but layer tracers wrap it under this module's name
+    # (bench/layers.py), so it stays bound.
     region_report,
     report_sort_key,
+    score_cells,
 )
-from repro.core.imbalance import is_biased
-from repro.core.neighbors import hamming_budget, iter_neighbor_cells
+from repro.core.imbalance import imbalance_score
+from repro.core.neighbors import hamming_budget, vectorized_neighbor_counts
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset
 from repro.errors import DeltaError, JournalError, StreamError
@@ -85,6 +95,11 @@ class StreamAuditor:
         self._leaf_shape = config.schema.cardinalities(config.protected)
         #: pattern -> current RegionReport for every biased region.
         self._biased: dict[Pattern, RegionReport] = {}
+        #: node mask -> (dropped leaf axes, Hamming-ball axis subsets,
+        #: flat cell index -> Pattern memo); see :meth:`_node_plan`.
+        self._plans: dict[
+            int, tuple[tuple[int, ...], list[tuple[int, ...]], dict[int, Pattern]]
+        ] = {}
         self.applied_ids: set[str] = set()
         self.watermark = 0
         self.n_batches = 0
@@ -189,49 +204,104 @@ class StreamAuditor:
     ) -> list[tuple[Pattern, RegionReport | None]]:
         """Re-score exactly the regions the changed leaf cells can affect.
 
-        Visits nodes bottom-up in canonical order and dirty cells in
-        sorted order, so the observation sequence — and therefore the
-        monitor's event order — is a pure function of the batch.
+        One masked array pass per node (see the module docstring).  Visits
+        nodes bottom-up in canonical order and dirty cells in C order —
+        the sorted order of their coordinate tuples — so the observation
+        sequence, and therefore the monitor's event order, is a pure
+        function of the batch.  The data checks of the scalar path hold: a
+        negative own or neighbour count on a scored cell raises
+        :func:`~repro.core.imbalance.imbalance_score`'s ``ValueError``, and
+        a negative ``tau_c`` raises in :func:`~repro.core.ibs.score_cells`.
         """
         observations: list[tuple[Pattern, RegionReport | None]] = []
         if not changed:
             return observations
-        k = self.config.k
+        k, T = self.config.k, self.config.T
+        leaf = np.zeros(self._leaf_shape, dtype=bool)
+        leaf[tuple(zip(*changed))] = True
         for level in range(self.hierarchy.max_level, 0, -1):
+            # Scaled-ancestor arrays shared by a level's sibling nodes, as in
+            # identify_ibs; the counts do not change while this pass runs.
+            cache: dict = {}
             for node in self.hierarchy.nodes_at_level(level):
-                budget = hamming_budget(self.config.T, node.level)
-                axes = tuple(self._axis_of[a] for a in node.attrs)
-                dirty: set[tuple[int, ...]] = set()
-                # Dedup on the *projections already expanded*, not on the
-                # dirty set: a changed cell can enter `dirty` as a mere
-                # neighbour of an earlier changed cell, and skipping it then
-                # would leave its own neighbourhood unscored (stale reports).
-                expanded: set[tuple[int, ...]] = set()
-                for cell in changed:
-                    proj = tuple(cell[ax] for ax in axes)
-                    if proj in expanded:
-                        continue
-                    expanded.add(proj)
-                    dirty.add(proj)
-                    dirty.update(iter_neighbor_cells(node, proj, budget))
-                for coords in sorted(dirty):
-                    pattern = node.pattern_of(coords)
-                    pos = int(node.pos[coords])
-                    neg = int(node.neg[coords])
-                    if pos + neg < k + 1:
+                drop, balls, memo = self._node_plan(node)
+                proj = leaf.any(axis=drop)
+                dirty = np.zeros(node.shape, dtype=bool)
+                for axes in balls:
+                    dirty |= proj.any(axis=axes, keepdims=True)
+                flat = np.flatnonzero(dirty)
+                patterns = self._patterns(node, memo, flat.tolist())
+                if node.max_cell_size <= k:
+                    for pattern in patterns:
+                        self._biased.pop(pattern, None)
+                        observations.append((pattern, None))
+                    continue
+                npos, nneg = vectorized_neighbor_counts(
+                    self.hierarchy, node, T, cache=cache
+                )
+                ratio, nratio, difference, size_ok, biased = score_cells(
+                    node.pos, node.neg, npos, nneg, self.config.tau_c, k
+                )
+                columns = (
+                    arr.ravel()[flat].tolist()
+                    for arr in (
+                        size_ok, biased, node.pos, node.neg, ratio,
+                        npos, nneg, nratio, difference,
+                    )
+                )
+                for pattern, ok, is_b, pos, neg, r, n_pos, n_neg, n_r, diff in zip(
+                    patterns, *columns
+                ):
+                    if not ok:
                         self._biased.pop(pattern, None)
                         observations.append((pattern, None))
                         continue
-                    report = region_report(
-                        self.hierarchy, node, pattern, pos, neg,
-                        self.config.T, method=METHOD_OPTIMIZED,
+                    if pos < 0 or neg < 0 or n_pos < 0 or n_neg < 0:
+                        # Corrupt counts: raise the scalar path's error.
+                        imbalance_score(pos, neg)
+                        imbalance_score(n_pos, n_neg)
+                    report = RegionReport(
+                        pattern, pos, neg, r, n_pos, n_neg, n_r, diff
                     )
-                    if is_biased(report.ratio, report.neighbor_ratio, self.config.tau_c):
+                    if is_b:
                         self._biased[pattern] = report
                     else:
                         self._biased.pop(pattern, None)
                     observations.append((pattern, report))
         return observations
+
+    def _node_plan(
+        self, node: HierarchyNode
+    ) -> tuple[tuple[int, ...], list[tuple[int, ...]], dict[int, Pattern]]:
+        """A node's dropped leaf axes, Hamming-ball axis subsets and pattern memo.
+
+        Depends only on the node's attribute set, so it outlives hierarchy
+        rebuilds; the memo holds at most one pattern per lattice cell.
+        """
+        plan = self._plans.get(node.mask)
+        if plan is None:
+            drop = tuple(
+                ax for a, ax in self._axis_of.items() if a not in node.attrs
+            )
+            budget = hamming_budget(self.config.T, node.level)
+            balls = list(itertools.combinations(range(node.level), budget))
+            plan = self._plans[node.mask] = (drop, balls, {})
+        return plan
+
+    @staticmethod
+    def _patterns(
+        node: HierarchyNode, memo: dict[int, Pattern], flat: list[int]
+    ) -> list[Pattern]:
+        """Patterns of a node's cells by flat index, each built only once."""
+        out = []
+        for f in flat:
+            pattern = memo.get(f)
+            if pattern is None:
+                pattern = memo[f] = node.pattern_of(
+                    np.unravel_index(f, node.shape)
+                )
+            out.append(pattern)
+        return out
 
     def rescore_all(self) -> None:
         """Rebuild the biased-region map from the current counts (rebase load)."""

@@ -45,6 +45,12 @@ class StreamState:
         self.schema = schema
         self.protected = tuple(protected)
         schema.require_categorical(self.protected)
+        #: Per-column ``(name, cardinality or None when numeric)``, read
+        #: once here instead of off the schema on every validated insert.
+        self._specs = tuple(
+            (col.name, col.cardinality if col.is_categorical else None)
+            for col in schema
+        )
         self._cap = _INITIAL_CAPACITY
         self._cols: dict[str, np.ndarray] = {}
         for col in schema:
@@ -97,27 +103,26 @@ class StreamState:
             raise DeltaError(f"unknown delta kind {delta.kind!r}")
 
     def _validate_insert(self, delta: InsertDelta, row: int) -> None:
-        n_cols = sum(1 for _ in self.schema)
-        if len(delta.values) != n_cols:
+        if len(delta.values) != len(self._specs):
             raise DeltaError(
                 f"insert for row {row} has {len(delta.values)} values for "
-                f"{n_cols} schema columns {list(self.schema.names)}"
+                f"{len(self._specs)} schema columns {list(self.schema.names)}"
             )
         if delta.label not in (0, 1):
             raise DeltaError(
                 f"labels must be binary 0/1; row {row} has {delta.label!r}"
             )
-        for col, value in zip(self.schema, delta.values):
-            if col.is_categorical:
+        for (name, cardinality), value in zip(self._specs, delta.values):
+            if cardinality is not None:
                 code = int(value)
-                if code != value or not 0 <= code < col.cardinality:
+                if code != value or not 0 <= code < cardinality:
                     raise DeltaError(
-                        f"column {col.name!r} has code {value!r} at row {row}, "
-                        f"outside [0, {col.cardinality})"
+                        f"column {name!r} has code {value!r} at row {row}, "
+                        f"outside [0, {cardinality})"
                     )
             elif not np.isfinite(value):
                 raise DeltaError(
-                    f"column {col.name!r} has non-finite value {value!r} at "
+                    f"column {name!r} has non-finite value {value!r} at "
                     f"row {row}; features must be finite (no NaN/inf)"
                 )
 

@@ -8,11 +8,15 @@ wire path, minus processes (the process-level drills live in
 
 from __future__ import annotations
 
+import io
+import signal
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.cli import EXIT_OK, main
 from repro.data.schema import Column, Schema
 from repro.data.store.format import manifest_digest, read_manifest
 from repro.data.store.registry import Registry, verify_store
@@ -204,6 +208,53 @@ class TestHealthAndErrors:
     def test_rebuilt_errors_are_catchable_as_repro_error(self, client):
         with pytest.raises(ReproError):
             client.manifest("ghost")
+
+
+class _ReadyLineBuffer(io.BytesIO):
+    """Stdout's byte layer: notes the SIGTERM handler at each write."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sigterm_at_write: list = []
+
+    def write(self, data) -> int:
+        self.sigterm_at_write.append(signal.getsignal(signal.SIGTERM))
+        return super().write(data)
+
+
+class TestSignalHandlers:
+    @pytest.fixture(autouse=True)
+    def restore_handlers(self):
+        saved = {s: signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGINT)}
+        yield
+        for signum, handler in saved.items():
+            signal.signal(signum, handler)
+
+    def test_serve_installs_the_drain_handler_before_the_ready_line(
+        self, tmp_path, monkeypatch
+    ):
+        make_service(tmp_path / "stream").close()
+        served: list[AuditGateway] = []
+
+        def run_once(self) -> None:  # serve nothing, release everything
+            served.append(self)
+            self.server.server_close()
+            self.service.close()
+
+        monkeypatch.setattr(AuditGateway, "run", run_once)
+        buffer = _ReadyLineBuffer()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(buffer))
+        assert main(["serve", str(tmp_path / "stream"), "--port", "0"]) == EXIT_OK
+        # A SIGTERM sent the moment the ready line is read must drain.
+        assert buffer.sigterm_at_write[0] == served[0]._drain_on_signal
+
+    def test_install_is_idempotent_and_the_handler_drains(self, gateway):
+        gateway.install_signal_handlers()
+        gateway.install_signal_handlers()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            assert signal.getsignal(signum) == gateway._drain_on_signal
+        signal.getsignal(signal.SIGTERM)(signal.SIGTERM, None)
+        assert gateway._draining
 
 
 class TestConfig:

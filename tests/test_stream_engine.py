@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.ibs import identify_ibs, ibs_patterns, report_sort_key
@@ -13,6 +15,7 @@ from repro.stream.deltas import (
     RelabelDelta,
     deltas_from_records,
 )
+from repro.stream import engine
 from repro.stream.engine import StreamAuditor
 from repro.stream.journal import DeltaLog, StreamConfig
 
@@ -113,6 +116,58 @@ class TestIncrementalScoring:
         auditor.apply_batch(1, "b0", skewed_batch())
         with pytest.raises(JournalError, match="applied twice"):
             auditor.apply_batch(2, "b0", [insert(0, 0, 1)])
+
+
+class TestRescoreChecks:
+    def test_node_with_every_cell_at_most_k_skips_neighbour_counts(
+        self, config, monkeypatch
+    ):
+        # Every leaf cell of the skewed batch holds 6 rows: at k = 6 the
+        # (a, b) node is pruned while both level-1 nodes are scored.
+        auditor = StreamAuditor(dataclasses.replace(config, k=6))
+        scored: list[tuple[str, ...]] = []
+        real_counts = engine.vectorized_neighbor_counts
+
+        def counting(hierarchy, node, T, cache=None):
+            scored.append(node.attrs)
+            return real_counts(hierarchy, node, T, cache=cache)
+
+        seen: list = []
+        real_observe = auditor.monitor.observe
+
+        def observe(seq, observations):
+            seen.extend(observations)
+            return real_observe(seq, observations)
+
+        monkeypatch.setattr(engine, "vectorized_neighbor_counts", counting)
+        monkeypatch.setattr(auditor.monitor, "observe", observe)
+        auditor.apply_batch(1, "b0", skewed_batch())
+        assert auditor.hierarchy.node(("a", "b")).max_cell_size == 6
+        assert scored == [("a",), ("b",)]
+        leaf = [report for pattern, report in seen if pattern.level == 2]
+        assert len(leaf) == 6 and all(r is None for r in leaf)
+        assert_matches_oracle(auditor)
+
+    @pytest.mark.parametrize(
+        "attrs, cell, value",
+        [
+            (("a", "b"), (0, 1), -1),  # the dirty cell's own count
+            (("b",), (1,), -20),  # a dominating count its neighbours use
+        ],
+    )
+    def test_negative_count_on_a_scored_cell_raises(self, config, attrs, cell, value):
+        auditor = StreamAuditor(config)
+        auditor.apply_batch(1, "b0", skewed_batch())
+        auditor.hierarchy.node(attrs).neg[cell] = value
+        with pytest.raises(ValueError, match="counts must be non-negative"):
+            auditor.apply_batch(2, "b1", [insert(0, 1, 1)])
+
+    def test_negative_tau_c_raises(self, config):
+        auditor = StreamAuditor(config)
+        # StreamConfig rejects it up front; the scoring step checks again.
+        object.__setattr__(auditor.config, "tau_c", -0.5)
+        with pytest.raises(ValueError, match="tau_c must be non-negative"):
+            auditor.apply_batch(1, "b0", skewed_batch())
 
 
 class TestValidateBatch:
