@@ -22,9 +22,11 @@ Runs the repository's quality gates in order, fail-fast::
     data-verify        the sharded dataset plane's gates: strict
                        no-baseline lint of the store package (R015
                        included), the data-chaos drills (bit flips, torn
-                       materialize, lease pinning), then the hypothesis
+                       materialize, lease pinning), the hypothesis
                        property suite proving sharded == in-memory byte
-                       for byte
+                       for byte, then the engine and remedy oracles that
+                       pin IBS and remedy output over the row store
+                       (slow-marked, so tier1 skips them)
     serve-chaos        the audit gateway's process-level drills: strict
                        no-baseline lint of the serve package (R015 and
                        R016 included), then SIGKILL mid-ingest and
@@ -135,8 +137,12 @@ def stage_commands(
                 [PYTHON, "-m", "repro.data.chaos"],
                 # The equivalence proof: sharded region_counts and full
                 # IBS reports byte-identical to the in-memory Dataset
-                # across random schemas, shard sizes, and delta sequences.
-                [PYTHON, "-m", "pytest", "-q", "tests/test_properties_store.py"],
+                # across random schemas, shard sizes, and edit sequences;
+                # then the engine and remedy oracles over the same row
+                # store (slow-marked, so no other stage runs them).
+                [PYTHON, "-m", "pytest", "-q", "tests/test_properties_store.py",
+                 "tests/test_properties_engines.py",
+                 "tests/test_properties_remedy.py"],
             ],
         ),
         (

@@ -6,16 +6,70 @@ negative counts inside such regions, and cheap row-level edits (duplicate,
 drop, relabel) for the remedy samplers.  :class:`Dataset` provides exactly
 that on top of plain numpy arrays — categorical columns are ``int64`` code
 arrays indexing the column's domain, numeric columns are ``float64``.
+
+A dataset is an ordered tuple of row *chunks*.  A chunk has ``n_rows``,
+``column(index)`` (the array of schema column ``index``), ``labels()`` (int8)
+and ``relabeled(y)`` (the same columns under new labels).  Two kinds exist:
+the in-memory :class:`MemoryChunk` below, and the memory-mapped ``DiskShard``
+of :mod:`repro.data.store`.  Reductions run chunk by chunk and add up
+exactly; edits are copy-on-write per chunk, so a chunk an edit leaves whole
+is shared by identity with the source.  A dataset built from arrays is one
+chunk, and ``column``/``y`` hand back its arrays without copying.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.data.schema import Column, Schema
 from repro.errors import DataError, SchemaError
+
+
+class MemoryChunk:
+    """Rows held in memory: one array per schema column plus int8 labels."""
+
+    __slots__ = ("arrays", "_y", "n_rows")
+
+    def __init__(self, arrays: Sequence[np.ndarray], y: np.ndarray):
+        self.arrays = tuple(arrays)
+        self._y = np.asarray(y, dtype=np.int8)
+        self.n_rows = int(self._y.shape[0])
+
+    def column(self, index: int) -> np.ndarray:
+        """The array of schema column ``index``."""
+        return self.arrays[index]
+
+    def labels(self) -> np.ndarray:
+        """The int8 labels."""
+        return self._y
+
+    def relabeled(self, y: np.ndarray) -> "MemoryChunk":
+        """The same column arrays under replacement labels ``y``."""
+        return MemoryChunk(self.arrays, y)
+
+
+def _require_binary(y: np.ndarray) -> None:
+    if y.shape[0]:
+        bad = ~np.isin(y, (0, 1))
+        if bad.any():
+            row = int(np.flatnonzero(bad)[0])
+            raise DataError(f"labels must be binary 0/1; row {row} has {y[row]!r}")
+
+
+def _join(parts: list[np.ndarray], dtype: type) -> np.ndarray:
+    """One array from per-chunk parts; a single part comes back as is."""
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return np.zeros(0, dtype=dtype)
+    return np.concatenate(parts)
+
+
+def _dtype(col: Column) -> type:
+    return np.int64 if col.is_categorical else np.float64
 
 
 class Dataset:
@@ -36,8 +90,10 @@ class Dataset:
         These define the intersectional space of the paper.
 
     Mutating methods (``take``, ``drop``, ``append_rows``, ``with_labels``)
-    return new :class:`Dataset` objects; the underlying arrays of the source
-    are never modified.
+    return new datasets of the same class; the underlying arrays of the
+    source are never modified.  Their results are assembled from chunks that
+    were validated when first built, so only the constructor (and the
+    arguments of ``with_labels``/``append_rows``) is checked.
     """
 
     def __init__(
@@ -47,27 +103,19 @@ class Dataset:
         y: np.ndarray,
         protected: Sequence[str] = (),
     ):
-        self.schema = schema
         y = np.asarray(y)
         if y.ndim != 1:
             raise DataError(f"y must be 1-D, got shape {y.shape}")
         n = y.shape[0]
-        if n:
-            bad = ~np.isin(y, (0, 1))
-            if bad.any():
-                row = int(np.flatnonzero(bad)[0])
-                raise DataError(
-                    f"labels must be binary 0/1; row {row} has {y[row]!r}"
-                )
-        self.y = y.astype(np.int8, copy=False)
+        _require_binary(y)
 
-        self._columns: dict[str, np.ndarray] = {}
         missing = [c.name for c in schema if c.name not in columns]
         if missing:
             raise DataError(f"missing arrays for schema columns {missing}")
         extra = [name for name in columns if name not in schema]
         if extra:
             raise DataError(f"arrays {extra} have no schema column")
+        arrays: list[np.ndarray] = []
         for col in schema:
             arr = np.asarray(columns[col.name])
             if arr.ndim != 1 or arr.shape[0] != n:
@@ -96,19 +144,58 @@ class Dataset:
                             f"{float(arr[row])!r} at row {row}; features must "
                             "be finite (no NaN/inf)"
                         )
-            self._columns[col.name] = arr
+            arrays.append(arr)
 
         protected = tuple(protected)
         schema.require_categorical(protected)
+        self._setup(schema, (MemoryChunk(arrays, y),), protected)
+
+    @classmethod
+    def _from_chunks(
+        cls, schema: Schema, chunks: Iterable[object], protected: tuple[str, ...]
+    ) -> "Dataset":
+        """A dataset over already-validated chunks (no row is re-checked)."""
+        out = cls.__new__(cls)
+        out._setup(schema, chunks, protected)
+        return out
+
+    def _setup(
+        self, schema: Schema, chunks: Iterable[object], protected: tuple[str, ...]
+    ) -> None:
+        self.schema = schema
         self.protected = protected
+        self._chunks = tuple(chunks)
+        self._offsets = tuple(
+            accumulate((c.n_rows for c in self._chunks), initial=0)
+        )
+        self._index = {name: i for i, name in enumerate(schema.names)}
+        self._y: np.ndarray | None = None
+
+    def _derive(
+        self, chunks: Iterable[object], protected: tuple[str, ...] | None = None
+    ) -> "Dataset":
+        return type(self)._from_chunks(
+            self.schema, chunks, self.protected if protected is None else protected
+        )
+
+    def _spans(self) -> Iterator[tuple[object, int, int]]:
+        """``(chunk, start, stop)`` with each chunk's global row range."""
+        return zip(self._chunks, self._offsets, self._offsets[1:])
 
     # -- basic accessors ----------------------------------------------------
     def __len__(self) -> int:
-        return self.y.shape[0]
+        return self._offsets[-1]
 
     @property
     def n_rows(self) -> int:
-        return self.y.shape[0]
+        return self._offsets[-1]
+
+    @property
+    def y(self) -> np.ndarray:
+        """The int8 labels (several chunks' are concatenated once, cached)."""
+        if self._y is None:
+            self._y = _join([c.labels() for c in self._chunks], np.int8)
+        return self._y
 
     @property
     def n_positive(self) -> int:
@@ -119,10 +206,15 @@ class Dataset:
         return int(self.n_rows - self.y.sum())
 
     def column(self, name: str) -> np.ndarray:
-        """The raw array backing column ``name`` (do not mutate)."""
-        if name not in self._columns:
+        """The array of column ``name`` (do not mutate).
+
+        One chunk's own array, or the chunks' arrays concatenated.
+        """
+        if name not in self._index:
             raise SchemaError(f"unknown column {name!r}")
-        return self._columns[name]
+        index = self._index[name]
+        parts = [c.column(index) for c in self._chunks]
+        return _join(parts, _dtype(self.schema[name]))
 
     def labels_of(self, name: str) -> np.ndarray:
         """Column values decoded to their string labels (categorical only)."""
@@ -130,38 +222,82 @@ class Dataset:
         if not col.is_categorical:
             raise SchemaError(f"column {name!r} is numeric; has no labels")
         domain = np.asarray(col.domain, dtype=object)
-        return domain[self._columns[name]]
+        return domain[self.column(name)]
 
     def __repr__(self) -> str:
         return (
-            f"Dataset(n={self.n_rows}, +={self.n_positive}, -={self.n_negative}, "
-            f"protected={list(self.protected)})"
+            f"{type(self).__name__}(n={self.n_rows}, +={self.n_positive}, "
+            f"-={self.n_negative}, protected={list(self.protected)})"
         )
 
+    # -- row selections -------------------------------------------------------
+    def _rows(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` checked against this dataset: a full-length boolean mask
+        as is, or an integer index with negative positions resolved."""
+        rows = np.asarray(rows)
+        n = self.n_rows
+        if rows.dtype == bool:
+            if rows.shape != (n,):
+                raise DataError(
+                    f"boolean row mask has shape {rows.shape}, expected ({n},)"
+                )
+            return rows
+        if rows.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise DataError(
+                "rows must be a boolean mask or a 1-D integer index, got "
+                f"{rows.dtype} of shape {rows.shape}"
+            )
+        lo, hi = int(rows.min()), int(rows.max())
+        if lo < -n or hi >= n:
+            raise DataError(
+                f"row index {lo if lo < -n else hi} out of range for {n} rows"
+            )
+        rows = rows.astype(np.int64, copy=False)
+        return np.where(rows < 0, rows + n, rows) if lo < 0 else rows
+
     # -- pattern masks and counts --------------------------------------------
+    def _check_assignment(self, assignment: Mapping[str, int]) -> None:
+        for name, code in assignment.items():
+            col = self.schema[name]
+            if not col.is_categorical:
+                raise SchemaError(f"pattern attribute {name!r} must be categorical")
+            if not 0 <= int(code) < col.cardinality:
+                raise SchemaError(f"code {code} out of range for column {name!r}")
+
+    def _chunk_mask(self, chunk: object, assignment: Mapping[str, int]) -> np.ndarray:
+        out = np.ones(chunk.n_rows, dtype=bool)
+        for name, code in assignment.items():
+            out &= chunk.column(self._index[name]) == int(code)
+        return out
+
     def mask(self, assignment: Mapping[str, int]) -> np.ndarray:
         """Boolean mask of rows matching ``{attr: code}`` conjunctively.
 
         An empty assignment matches every row (the level-0 "entire dataset"
         region of the hierarchy).
         """
-        out = np.ones(self.n_rows, dtype=bool)
-        for name, code in assignment.items():
-            col = self.schema[name]
-            if not col.is_categorical:
-                raise SchemaError(f"pattern attribute {name!r} must be categorical")
-            if not 0 <= int(code) < col.cardinality:
-                raise SchemaError(
-                    f"code {code} out of range for column {name!r}"
-                )
-            out &= self._columns[name] == int(code)
-        return out
+        self._check_assignment(assignment)
+        return _join([self._chunk_mask(c, assignment) for c in self._chunks], bool)
 
     def counts(self, assignment: Mapping[str, int]) -> tuple[int, int]:
         """``(|r+|, |r-|)`` — positive and negative rows matching the pattern."""
-        m = self.mask(assignment)
-        pos = int(self.y[m].sum())
-        return pos, int(m.sum()) - pos
+        self._check_assignment(assignment)
+        pos = total = 0
+        for chunk in self._chunks:
+            m = self._chunk_mask(chunk, assignment)
+            pos += int(chunk.labels()[m].sum())
+            total += int(m.sum())
+        return pos, total - pos
+
+    def _chunk_codes(
+        self, chunk: object, attrs: Sequence[str], shape: tuple[int, ...]
+    ) -> np.ndarray:
+        if not attrs:
+            return np.zeros(chunk.n_rows, dtype=np.int64)
+        arrays = [chunk.column(self._index[a]) for a in attrs]
+        return np.ravel_multi_index(arrays, shape).astype(np.int64, copy=False)
 
     def joint_codes(self, attrs: Sequence[str]) -> tuple[np.ndarray, tuple[int, ...]]:
         """Mixed-radix joint code of each row over categorical ``attrs``.
@@ -175,11 +311,8 @@ class Dataset:
         """
         self.schema.require_categorical(attrs)
         shape = self.schema.cardinalities(attrs)
-        if not attrs:
-            return np.zeros(self.n_rows, dtype=np.int64), ()
-        arrays = [self._columns[a] for a in attrs]
-        codes = np.ravel_multi_index(arrays, shape)
-        return codes.astype(np.int64, copy=False), shape
+        parts = [self._chunk_codes(c, attrs, shape) for c in self._chunks]
+        return _join(parts, np.int64), shape
 
     def region_counts(
         self, attrs: Sequence[str], rows: np.ndarray | None = None
@@ -190,149 +323,152 @@ class Dataset:
         length ``prod(shape)`` indexed by the mixed-radix joint code.  When
         ``rows`` (a boolean mask or integer index array) is given, only those
         rows are counted — the hierarchy uses this to recount a single
-        region's slice without materialising a sub-dataset.
+        region's slice without materialising a sub-dataset.  Each chunk is
+        ``bincount``ed on its own and the partials summed, which is
+        integer-exact: the result does not depend on the chunking.
         """
-        codes, shape = self.joint_codes(attrs)
-        y = self.y
-        if rows is not None:
-            rows = np.asarray(rows)
-            codes = codes[rows]
-            y = y[rows]
+        return self._reduce_counts(range(len(self._chunks)), attrs, rows)
+
+    def _reduce_counts(
+        self,
+        chunk_indices: Iterable[int],
+        attrs: Sequence[str],
+        rows: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        self.schema.require_categorical(attrs)
+        shape = self.schema.cardinalities(attrs)
         size = int(np.prod(shape)) if shape else 1
-        pos = np.bincount(codes[y == 1], minlength=size)
-        neg = np.bincount(codes[y == 0], minlength=size)
-        return pos.astype(np.int64), neg.astype(np.int64), shape
+        if rows is not None:
+            rows = self._rows(rows)
+            if rows.dtype != bool:
+                rows = np.sort(rows)
+        pos = neg = None
+        for i in chunk_indices:
+            chunk = self._chunks[i]
+            codes = self._chunk_codes(chunk, attrs, shape)
+            labels = chunk.labels()
+            if rows is not None:
+                start, stop = self._offsets[i], self._offsets[i + 1]
+                if rows.dtype == bool:
+                    sel = rows[start:stop]
+                    if not sel.any():
+                        continue
+                else:
+                    lo, hi = np.searchsorted(rows, (start, stop))
+                    if lo == hi:
+                        continue
+                    sel = rows[lo:hi] - start
+                codes, labels = codes[sel], labels[sel]
+            p = np.bincount(codes[labels == 1], minlength=size)
+            q = np.bincount(codes[labels == 0], minlength=size)
+            if pos is None:
+                pos, neg = p, q
+            else:
+                pos += p
+                neg += q
+        if pos is None:
+            pos, neg = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
+        return pos.astype(np.int64, copy=False), neg.astype(np.int64, copy=False), shape
 
     # -- row-level edits (return new datasets) --------------------------------
     def take(self, indices: np.ndarray) -> "Dataset":
-        """New dataset with rows at ``indices`` (boolean mask or int index)."""
-        indices = np.asarray(indices)
-        cols = {name: arr[indices] for name, arr in self._columns.items()}
-        return Dataset(self.schema, cols, self.y[indices], self.protected)
+        """New dataset with rows at ``indices`` (boolean mask or int index).
+
+        A boolean mask is copy-on-write per chunk: a chunk it keeps whole is
+        reused by identity (a disk shard stays on disk), a chunk it thins is
+        copied into memory, a chunk it empties is dropped.  An integer index
+        gathers into one in-memory chunk, keeping its order and duplicates.
+        """
+        rows = self._rows(indices)
+        if rows.dtype != bool:
+            return self._derive((self._gather(rows),))
+        chunks = []
+        for chunk, start, stop in self._spans():
+            sub = rows[start:stop]
+            if sub.all():
+                chunks.append(chunk)
+            elif sub.any():
+                arrays = [chunk.column(i)[sub] for i in range(len(self._index))]
+                chunks.append(MemoryChunk(arrays, chunk.labels()[sub]))
+        return self._derive(chunks)
+
+    def _gather(self, idx: np.ndarray) -> MemoryChunk:
+        arrays = [np.empty(idx.size, dtype=_dtype(col)) for col in self.schema]
+        y = np.empty(idx.size, dtype=np.int8)
+        for chunk, start, stop in self._spans():
+            dest = np.flatnonzero((idx >= start) & (idx < stop))
+            if dest.size == 0:
+                continue
+            local = idx[dest] - start
+            for i, arr in enumerate(arrays):
+                arr[dest] = chunk.column(i)[local]
+            y[dest] = chunk.labels()[local]
+        return MemoryChunk(arrays, y)
 
     def drop(self, indices: np.ndarray) -> "Dataset":
-        """New dataset with rows at integer ``indices`` removed."""
+        """New dataset with rows at ``indices`` removed (chunks the drop does
+        not touch are reused by identity)."""
         keep = np.ones(self.n_rows, dtype=bool)
-        keep[np.asarray(indices, dtype=np.int64)] = False
+        keep[self._rows(indices)] = False
         return self.take(keep)
 
     def append_rows(self, other: "Dataset") -> "Dataset":
-        """New dataset with ``other``'s rows appended (schemas must match)."""
+        """New dataset with ``other``'s rows appended (schemas must match).
+
+        When this dataset's last chunk and ``other``'s first are both in
+        memory they are concatenated into one, so an in-memory dataset stays
+        a single chunk; every other chunk of ``other`` is adopted by identity.
+        """
         if other.schema != self.schema:
             raise DataError("cannot append rows with a different schema")
-        cols = {
-            name: np.concatenate([arr, other._columns[name]])
-            for name, arr in self._columns.items()
-        }
-        return Dataset(
-            self.schema, cols, np.concatenate([self.y, other.y]), self.protected
-        )
+        head, tail = self._chunks, other._chunks
+        if (
+            head and tail
+            and isinstance(head[-1], MemoryChunk)
+            and isinstance(tail[0], MemoryChunk)
+        ):
+            a, b = head[-1], tail[0]
+            joined = MemoryChunk(
+                [np.concatenate(pair) for pair in zip(a.arrays, b.arrays)],
+                np.concatenate([a.labels(), b.labels()]),
+            )
+            head, tail = head[:-1] + (joined,), tail[1:]
+        return self._derive(head + tail)
 
     def duplicate_rows(self, indices: np.ndarray) -> "Dataset":
         """New dataset with copies of rows at ``indices`` appended."""
         return self.append_rows(self.take(np.asarray(indices, dtype=np.int64)))
 
     def with_labels(self, y: np.ndarray) -> "Dataset":
-        """New dataset sharing columns but with replacement labels ``y``."""
-        return Dataset(self.schema, self._columns, y, self.protected)
+        """New dataset sharing every chunk's columns under labels ``y``."""
+        y = np.asarray(y)
+        if y.ndim != 1:
+            raise DataError(f"y must be 1-D, got shape {y.shape}")
+        if y.shape[0] != self.n_rows:
+            raise DataError(
+                f"with_labels needs {self.n_rows} labels, got {y.shape[0]}"
+            )
+        _require_binary(y)
+        y = y.astype(np.int8, copy=False)
+        return self._derive(
+            c.relabeled(y[start:stop]) for c, start, stop in self._spans()
+        )
 
     def with_protected(self, protected: Sequence[str]) -> "Dataset":
         """New dataset view with a different protected-attribute set."""
-        return Dataset(self.schema, self._columns, self.y, protected)
+        protected = tuple(protected)
+        self.schema.require_categorical(protected)
+        return self._derive(self._chunks, protected)
 
     def copy(self) -> "Dataset":
-        """Deep copy (fresh arrays)."""
-        cols = {name: arr.copy() for name, arr in self._columns.items()}
-        return Dataset(self.schema, cols, self.y.copy(), self.protected)
-
-    def apply_delta(
-        self,
-        kind: str,
-        *,
-        values: Sequence[float] | None = None,
-        label: int | None = None,
-        row: int | None = None,
-    ) -> tuple["Dataset", dict]:
-        """Apply one streaming-style edit; return the new dataset + count delta.
-
-        ``kind`` is ``"insert"`` (``values`` in schema order + ``label``),
-        ``"delete"`` (``row``), or ``"relabel"`` (``row`` + ``label``).
-        Validation reuses the constructor, so a bad insert raises the same
-        :class:`~repro.errors.DataError` column/row-naming messages the
-        constructor would for that row.
-
-        The second return value is the leaf-granular count delta over the
-        protected space, shaped for
-        :meth:`~repro.core.hierarchy.Hierarchy.apply_count_delta`:
-        ``{"pattern": Pattern(), "dpos": ndarray, "dneg": ndarray}`` —
-        feeding it to a hierarchy built from ``self`` leaves that hierarchy
-        equal to one built from the returned dataset.
-        """
-        from repro.core.pattern import Pattern
-
-        shape = self.schema.cardinalities(self.protected)
-        dpos = np.zeros(shape, dtype=np.int64)
-        dneg = np.zeros(shape, dtype=np.int64)
-
-        def _cell(dataset: "Dataset", at: int) -> tuple[int, ...]:
-            return tuple(int(dataset._columns[a][at]) for a in dataset.protected)
-
-        if kind == "insert":
-            if values is None or label is None:
-                raise DataError("insert delta needs values= and label=")
-            values = list(values)
-            if len(values) != len(self.schema):
-                raise DataError(
-                    f"insert for row {self.n_rows} has {len(values)} values "
-                    f"for {len(self.schema)} schema columns "
-                    f"{list(self.schema.names)}"
-                )
-            cols = {
-                name: np.concatenate([arr, np.asarray([value])])
-                for (name, arr), value in zip(self._columns.items(), values)
-            }
-            out = Dataset(
-                self.schema, cols,
-                np.concatenate([self.y, np.asarray([label], dtype=np.int64)]),
-                self.protected,
+        """Deep copy: every chunk becomes an in-memory chunk of fresh arrays."""
+        return self._derive(
+            MemoryChunk(
+                [np.array(c.column(i)) for i in range(len(self._index))],
+                c.labels().copy(),
             )
-            cell = _cell(out, out.n_rows - 1)
-            (dpos if int(label) == 1 else dneg)[cell] += 1
-        elif kind == "delete":
-            if row is None:
-                raise DataError("delete delta needs row=")
-            self._require_row(row, "delete")
-            cell = _cell(self, row)
-            (dpos if int(self.y[row]) == 1 else dneg)[cell] -= 1
-            out = self.drop([row])
-        elif kind == "relabel":
-            if row is None or label is None:
-                raise DataError("relabel delta needs row= and label=")
-            self._require_row(row, "relabel")
-            if label not in (0, 1):
-                raise DataError(
-                    f"labels must be binary 0/1; row {row} has {label!r}"
-                )
-            old = int(self.y[row])
-            y = self.y.copy()
-            y[row] = label
-            out = Dataset(self.schema, self._columns, y, self.protected)
-            if old != int(label):
-                cell = _cell(self, row)
-                dpos[cell] += int(label) - old
-                dneg[cell] += old - int(label)
-        else:
-            raise DataError(
-                f"unknown delta kind {kind!r}; expected insert/delete/relabel"
-            )
-        return out, {"pattern": Pattern(), "dpos": dpos, "dneg": dneg}
-
-    def _require_row(self, row: int, verb: str) -> None:
-        if not 0 <= row < self.n_rows:
-            raise DataError(
-                f"{verb} targets unknown row {row}; dataset has rows "
-                f"0..{self.n_rows - 1}"
-            )
+            for c in self._chunks
+        )
 
     # -- model-facing feature matrix ------------------------------------------
     def feature_matrix(
@@ -351,7 +487,7 @@ class Dataset:
         blocks: list[np.ndarray] = []
         for name in features:
             col = self.schema[name]
-            arr = self._columns[name]
+            arr = self.column(name)
             if col.is_categorical and one_hot:
                 block = np.zeros((self.n_rows, col.cardinality))
                 block[np.arange(self.n_rows), arr] = 1.0
@@ -404,4 +540,4 @@ def concat(datasets: Sequence[Dataset]) -> Dataset:
     return out
 
 
-__all__ = ["Dataset", "Schema", "Column", "concat"]
+__all__ = ["Dataset", "MemoryChunk", "Schema", "Column", "concat"]

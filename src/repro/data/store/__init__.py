@@ -1,8 +1,8 @@
 """Out-of-core sharded dataset plane: format, lazy reducer, registry.
 
 See :mod:`repro.data.store.format` for the on-disk layout,
-:mod:`repro.data.store.sharded` for :class:`ShardedDataset` (the
-``Dataset``-compatible lazy reducer), and :mod:`repro.data.store.registry`
+:mod:`repro.data.store.sharded` for :class:`ShardedDataset` (a
+``Dataset`` whose chunks are disk shards), and :mod:`repro.data.store.registry`
 for the named cache behind the ``repro data`` CLI.
 """
 

@@ -63,17 +63,12 @@ def default_root() -> Path:
     return Path.home() / ".cache" / "repro" / "datasets"
 
 
-def iter_chunks(
-    dataset: "Dataset | ShardedDataset", shard_rows: int
-) -> Iterator[Dataset]:
+def iter_chunks(dataset: Dataset, shard_rows: int) -> Iterator[Dataset]:
     """Slice any dataset into materialisation chunks of ``shard_rows``."""
     _require_shard_rows(shard_rows)
     for start in range(0, dataset.n_rows, shard_rows):
         stop = min(start + shard_rows, dataset.n_rows)
-        chunk = dataset.take(np.arange(start, stop, dtype=np.int64))
-        if isinstance(chunk, ShardedDataset):
-            chunk = chunk.to_dataset()
-        yield chunk
+        yield dataset.take(np.arange(start, stop, dtype=np.int64))
 
 
 def synth_chunks(
@@ -269,7 +264,7 @@ class Registry:
     def materialize(
         self,
         name: str,
-        dataset: "Dataset | ShardedDataset | None" = None,
+        dataset: Dataset | None = None,
         *,
         chunks: Iterable[Dataset] | None = None,
         shard_rows: int,

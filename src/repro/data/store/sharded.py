@@ -1,36 +1,34 @@
-"""Out-of-core sharded dataset satisfying the :class:`Dataset` read surface.
+"""Out-of-core sharded dataset: a :class:`Dataset` whose chunks live on disk.
 
-:class:`ShardedDataset` presents the same API the IBS engines, the hierarchy,
-and ``remedy_dataset`` consume from :class:`~repro.data.Dataset` —
-``region_counts(attrs, rows=...)``, ``mask``/``counts``, label and protected
-access, the row-edit methods, and ``apply_delta`` — while holding only one
-shard's columns resident at a time.  Disk shards memory-map their ``.npy``
-column files per access and drop the mapping when the reducing loop moves on,
-so peak RSS is bounded by the shard size, not the dataset size.
+:class:`ShardedDataset` is a :class:`~repro.data.Dataset` whose chunks are
+the store's shards, so the IBS engines, the hierarchy, ``remedy_dataset``
+and the ranker run on it unmodified.  A :class:`DiskShard` memory-maps its
+``.npy`` column files per access and drops the mapping when the reducing
+loop moves on, so peak RSS is bounded by the shard size, not the dataset
+size.
 
-Edits are copy-on-write at shard granularity: ``drop``/``take`` with a
-boolean mask reuse every untouched shard object, ``with_labels`` wraps shards
-with a label overlay without touching their column files, and ``apply_delta``
-materialises only the shard that owns the edited row.
+Edits are the dataset's, copy-on-write per chunk: ``drop``/``take`` with a
+boolean mask reuse every untouched shard object, and ``with_labels`` gives
+each shard replacement labels without touching its column files.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.data.dataset import Dataset
-from repro.data.schema import Schema
+from repro.data.dataset import Dataset, MemoryChunk
 from repro.data.store.format import (
     LABELS_FILE,
     column_file_name,
     load_array,
     manifest_digest,
     read_manifest,
+    validate_manifest,
 )
-from repro.errors import DataError, SchemaError, StoreCorruptionError, StoreError
+from repro.errors import StoreCorruptionError, StoreError
 
 
 class DiskShard:
@@ -39,125 +37,56 @@ class DiskShard:
     Nothing is cached here on purpose: a memory-mapped array holds its pages
     in the resident set for as long as it is alive, so the way a 10⁷-row scan
     stays inside a fixed memory budget is precisely that each shard's maps die
-    before the next shard's are created.
+    before the next shard's are created.  ``y``, when given, replaces the
+    stored labels (``with_labels`` never touches the column files).
     """
 
-    __slots__ = ("directory", "n_rows", "_label_path")
+    __slots__ = ("directory", "n_rows", "_y")
 
-    def __init__(self, directory: str | Path, n_rows: int):
+    def __init__(self, directory: str | Path, n_rows: int, y: np.ndarray | None = None):
         self.directory = Path(directory)
         self.n_rows = int(n_rows)
-        self._label_path = self.directory / LABELS_FILE
+        self._y = y
 
     def column(self, index: int) -> np.ndarray:
         """Memory-mapped view of schema column ``index`` for this shard."""
-        arr = load_array(self.directory / column_file_name(index))
+        return self._load(column_file_name(index), mmap=True)
+
+    def labels(self) -> np.ndarray:
+        """This shard's int8 labels (loaded, not mapped — they are tiny)."""
+        if self._y is not None:
+            return self._y
+        return self._load(LABELS_FILE, mmap=False).astype(np.int8, copy=False)
+
+    def relabeled(self, y: np.ndarray) -> "DiskShard":
+        """The same column files under replacement labels ``y``."""
+        return DiskShard(self.directory, self.n_rows, y)
+
+    def _load(self, name: str, mmap: bool) -> np.ndarray:
+        path = self.directory / name
+        arr = load_array(path, mmap=mmap)
         if arr.shape != (self.n_rows,):
             raise StoreCorruptionError(
-                f"shard file {self.directory / column_file_name(index)} has "
-                f"shape {arr.shape}, expected ({self.n_rows},)"
-            )
-        return arr
-
-    def labels(self) -> np.ndarray:
-        """This shard's int8 label slice (loaded, not mapped — it is tiny)."""
-        arr = load_array(self._label_path, mmap=False)
-        if arr.shape != (self.n_rows,):
-            raise StoreCorruptionError(
-                f"shard file {self._label_path} has shape {arr.shape}, "
+                f"shard file {path} has shape {arr.shape}, "
                 f"expected ({self.n_rows},)"
             )
-        return arr.astype(np.int8, copy=False)
+        return np.asarray(arr)
 
 
-class MemoryShard:
-    """A shard backed by in-memory arrays (edit results, appended rows)."""
-
-    __slots__ = ("arrays", "_y", "n_rows")
-
-    def __init__(self, arrays: Sequence[np.ndarray], y: np.ndarray):
-        self.arrays = tuple(arrays)
-        self._y = np.asarray(y).astype(np.int8, copy=False)
-        self.n_rows = int(self._y.shape[0])
-
-    def column(self, index: int) -> np.ndarray:
-        """The in-memory array for schema column ``index``."""
-        return self.arrays[index]
-
-    def labels(self) -> np.ndarray:
-        """The in-memory int8 label slice."""
-        return self._y
-
-
-class RelabeledShard:
-    """A shard sharing another shard's columns under replacement labels.
-
-    Keeps ``with_labels`` and relabel deltas O(rows-in-shard) without copying
-    (or even touching) the column files.
-    """
-
-    __slots__ = ("base", "_y", "n_rows")
-
-    def __init__(self, base: "DiskShard | MemoryShard | RelabeledShard", y: np.ndarray):
-        if isinstance(base, RelabeledShard):
-            base = base.base
-        self.base = base
-        self._y = np.asarray(y).astype(np.int8, copy=False)
-        self.n_rows = base.n_rows
-        if self._y.shape != (self.n_rows,):
-            raise DataError(
-                f"relabel overlay has shape {self._y.shape}, "
-                f"expected ({self.n_rows},)"
-            )
-
-    def column(self, index: int) -> np.ndarray:
-        """Delegates to the base shard's columns."""
-        return self.base.column(index)
-
-    def labels(self) -> np.ndarray:
-        """The replacement int8 label slice."""
-        return self._y
-
-
-Shard = DiskShard | MemoryShard | RelabeledShard
-
-
-class ShardedDataset:
-    """A labelled table split row-wise across shards, reduced lazily.
-
-    Satisfies the read/edit surface of :class:`~repro.data.Dataset` that the
-    hierarchy, all three IBS engines, the remedy loop, and the ranker consume,
-    so those run unmodified on datasets that never fully materialise in RAM.
-    Aggregations (``region_counts``, ``mask``, ``counts``) stream shard by
-    shard; only ``column``/``labels_of``/``feature_matrix``/``to_dataset``
-    concatenate — their docstrings say so.
+class ShardedDataset(Dataset):
+    """A dataset over a store's shards, reduced lazily shard by shard.
 
     Instances opened from disk via :meth:`open` carry ``path`` and
     ``manifest`` and can be shipped to pool workers as a :class:`StoreRef`;
-    any edit returns a new dataset with ``path=None`` (it no longer denotes
-    the stored bytes).
+    any edit returns a ``ShardedDataset`` with ``path=None`` (it no longer
+    denotes the stored bytes).  Aggregations (``region_counts``, ``mask``,
+    ``counts``) stream shard by shard; ``column``/``y``/``labels_of``/
+    ``feature_matrix``/``to_dataset`` concatenate.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        shards: Sequence[Shard],
-        protected: Sequence[str] = (),
-        *,
-        path: Path | None = None,
-        manifest: dict | None = None,
-    ):
-        self.schema = schema
-        protected = tuple(protected)
-        schema.require_categorical(protected)
-        self.protected = protected
-        self._shards = tuple(shards)
-        self._offsets = np.cumsum([0] + [s.n_rows for s in self._shards]).astype(np.int64)
-        self._col_index = {name: i for i, name in enumerate(schema.names)}
-        self.path = Path(path) if path is not None else None
-        self.manifest = manifest
-        self._y_cache: np.ndarray | None = None
-        self._lease: Path | None = None
+    path: Path | None = None
+    manifest: dict | None = None
+    _lease: Path | None = None
 
     # -- construction ---------------------------------------------------------
     @classmethod
@@ -169,169 +98,44 @@ class ShardedDataset:
         """
         path = Path(path)
         manifest = read_manifest(path)
-        schema, protected = _manifest_schema(manifest)
+        schema, protected = validate_manifest(manifest)
         shards = [
             DiskShard(path / entry["dir"], entry["stop"] - entry["start"])
             for entry in manifest["shards"]
         ]
-        return cls(schema, shards, protected, path=path, manifest=manifest)
+        dataset = cls._from_chunks(schema, shards, protected)
+        dataset.path, dataset.manifest = path, manifest
+        return dataset
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, shard_rows: int) -> "ShardedDataset":
-        """Split an in-memory dataset into memory shards of ``shard_rows``.
+        """Split an in-memory dataset into memory chunks of ``shard_rows``.
 
         Used by tests and the property suite; the arrays are sliced views,
         not copies.
         """
         _require_shard_rows(shard_rows)
-        names = dataset.schema.names
-        shards: list[Shard] = []
-        for start in range(0, dataset.n_rows, shard_rows):
-            stop = min(start + shard_rows, dataset.n_rows)
-            arrays = [dataset.column(name)[start:stop] for name in names]
-            shards.append(MemoryShard(arrays, dataset.y[start:stop]))
-        return cls(dataset.schema, shards, dataset.protected)
+        columns = [dataset.column(name) for name in dataset.schema.names]
+        y = dataset.y
+        chunks = [
+            MemoryChunk(
+                [arr[start : start + shard_rows] for arr in columns],
+                y[start : start + shard_rows],
+            )
+            for start in range(0, dataset.n_rows, shard_rows)
+        ]
+        return cls._from_chunks(dataset.schema, chunks, dataset.protected)
 
-    # -- basic accessors ------------------------------------------------------
-    def __len__(self) -> int:
-        return int(self._offsets[-1])
-
-    @property
-    def n_rows(self) -> int:
-        """Total number of rows across all shards."""
-        return int(self._offsets[-1])
-
+    # -- shard geometry --------------------------------------------------------
     @property
     def n_shards(self) -> int:
         """Number of shards."""
-        return len(self._shards)
+        return len(self._chunks)
 
     @property
     def shard_ranges(self) -> tuple[tuple[int, int], ...]:
         """Global ``(start, stop)`` row range of each shard."""
-        return tuple(
-            (int(self._offsets[i]), int(self._offsets[i + 1]))
-            for i in range(len(self._shards))
-        )
-
-    @property
-    def y(self) -> np.ndarray:
-        """All labels, concatenated once and cached (int8 — 1 byte/row)."""
-        if self._y_cache is None:
-            if self._shards:
-                self._y_cache = np.concatenate([s.labels() for s in self._shards])
-            else:
-                self._y_cache = np.zeros(0, dtype=np.int8)
-        return self._y_cache
-
-    @property
-    def n_positive(self) -> int:
-        """Number of positive-labelled rows."""
-        return int(self.y.sum())
-
-    @property
-    def n_negative(self) -> int:
-        """Number of negative-labelled rows."""
-        return int(self.n_rows - self.y.sum())
-
-    def column(self, name: str) -> np.ndarray:
-        """Column ``name`` concatenated across shards (materialises n rows)."""
-        if name not in self._col_index:
-            raise SchemaError(f"unknown column {name!r}")
-        index = self._col_index[name]
-        dtype = np.int64 if self.schema[name].is_categorical else np.float64
-        if not self._shards:
-            return np.zeros(0, dtype=dtype)
-        return np.concatenate(
-            [np.asarray(s.column(index), dtype=dtype) for s in self._shards]
-        )
-
-    def labels_of(self, name: str) -> np.ndarray:
-        """Column values decoded to string labels (materialises n rows)."""
-        col = self.schema[name]
-        if not col.is_categorical:
-            raise SchemaError(f"column {name!r} is numeric; has no labels")
-        domain = np.asarray(col.domain, dtype=object)
-        return domain[self.column(name)]
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedDataset(n={self.n_rows}, shards={self.n_shards}, "
-            f"protected={list(self.protected)})"
-        )
-
-    # -- pattern masks and counts ---------------------------------------------
-    def _check_assignment(self, assignment: Mapping[str, int]) -> None:
-        for name, code in assignment.items():
-            col = self.schema[name]
-            if not col.is_categorical:
-                raise SchemaError(f"pattern attribute {name!r} must be categorical")
-            if not 0 <= int(code) < col.cardinality:
-                raise SchemaError(f"code {code} out of range for column {name!r}")
-
-    def _shard_mask(self, shard: Shard, assignment: Mapping[str, int]) -> np.ndarray:
-        out = np.ones(shard.n_rows, dtype=bool)
-        for name, code in assignment.items():
-            out &= np.asarray(shard.column(self._col_index[name])) == int(code)
-        return out
-
-    def mask(self, assignment: Mapping[str, int]) -> np.ndarray:
-        """Boolean mask of rows matching ``{attr: code}`` conjunctively.
-
-        The mask itself is global (1 byte/row) but each shard's columns are
-        mapped, compared, and released in turn.
-        """
-        self._check_assignment(assignment)
-        if not self._shards:
-            return np.ones(0, dtype=bool)
-        return np.concatenate(
-            [self._shard_mask(s, assignment) for s in self._shards]
-        )
-
-    def counts(self, assignment: Mapping[str, int]) -> tuple[int, int]:
-        """``(|r+|, |r-|)`` for the pattern, accumulated shard by shard."""
-        self._check_assignment(assignment)
-        pos = 0
-        total = 0
-        for shard in self._shards:
-            m = self._shard_mask(shard, assignment)
-            pos += int(shard.labels()[m].sum())
-            total += int(m.sum())
-        return pos, total - pos
-
-    def joint_codes(self, attrs: Sequence[str]) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Mixed-radix joint codes over ``attrs`` (materialises n int64s)."""
-        self.schema.require_categorical(attrs)
-        shape = self.schema.cardinalities(attrs)
-        if not self._shards:
-            return np.zeros(0, dtype=np.int64), shape if attrs else ()
-        codes = np.concatenate(
-            [self._shard_joint_codes(s, attrs, shape) for s in self._shards]
-        )
-        return codes, shape if attrs else ()
-
-    def _shard_joint_codes(
-        self, shard: Shard, attrs: Sequence[str], shape: tuple[int, ...]
-    ) -> np.ndarray:
-        if not attrs:
-            return np.zeros(shard.n_rows, dtype=np.int64)
-        arrays = [np.asarray(shard.column(self._col_index[a])) for a in attrs]
-        return np.ravel_multi_index(arrays, shape).astype(np.int64, copy=False)
-
-    def region_counts(
-        self, attrs: Sequence[str], rows: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        """Per-cell positive/negative counts over ``attrs``, reduced lazily.
-
-        Shard ``bincount``s are summed, which is integer-exact, so the result
-        is byte-identical to :meth:`Dataset.region_counts` on the
-        concatenated rows (the property suite pins this).  ``rows`` may be a
-        boolean mask over all rows or an integer index array; either is
-        sliced per shard so no shard-crossing gather happens.
-        """
-        self.schema.require_categorical(attrs)
-        shape = self.schema.cardinalities(attrs)
-        return self._reduce_counts(range(len(self._shards)), attrs, shape, rows)
+        return tuple(zip(self._offsets, self._offsets[1:]))
 
     def shard_region_counts(
         self, shard_indices: Sequence[int], attrs: Sequence[str]
@@ -341,346 +145,21 @@ class ShardedDataset:
         The shard-granular work unit the process pool fans out: summing the
         partials of a disjoint shard cover equals the full ``region_counts``.
         """
-        self.schema.require_categorical(attrs)
-        shape = self.schema.cardinalities(attrs)
-        for i in shard_indices:
-            if not 0 <= int(i) < len(self._shards):
+        indices = [int(i) for i in shard_indices]
+        for i in indices:
+            if not 0 <= i < len(self._chunks):
                 raise StoreError(
                     f"shard index {i} out of range; dataset has "
-                    f"{len(self._shards)} shards"
+                    f"{len(self._chunks)} shards"
                 )
-        return self._reduce_counts([int(i) for i in shard_indices], attrs, shape, None)
-
-    def _reduce_counts(
-        self,
-        shard_indices: Sequence[int],
-        attrs: Sequence[str],
-        shape: tuple[int, ...],
-        rows: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        size = int(np.prod(shape)) if shape else 1
-        pos = np.zeros(size, dtype=np.int64)
-        neg = np.zeros(size, dtype=np.int64)
-        sorted_rows: np.ndarray | None = None
-        bool_rows: np.ndarray | None = None
-        if rows is not None:
-            rows = np.asarray(rows)
-            if rows.dtype == bool:
-                if rows.shape != (self.n_rows,):
-                    raise DataError(
-                        f"boolean rows mask has shape {rows.shape}, "
-                        f"expected ({self.n_rows},)"
-                    )
-                bool_rows = rows
-            else:
-                idx = rows.astype(np.int64, copy=True)
-                idx[idx < 0] += self.n_rows
-                if idx.size and (idx.min() < 0 or idx.max() >= self.n_rows):
-                    raise DataError(
-                        f"row index out of range for {self.n_rows} rows"
-                    )
-                sorted_rows = np.sort(idx)
-        for i in shard_indices:
-            shard = self._shards[i]
-            start, stop = int(self._offsets[i]), int(self._offsets[i + 1])
-            sel: np.ndarray | None = None
-            if bool_rows is not None:
-                sel = bool_rows[start:stop]
-                if not sel.any():
-                    continue
-            elif sorted_rows is not None:
-                lo, hi = np.searchsorted(sorted_rows, [start, stop])
-                if lo == hi:
-                    continue
-                sel = sorted_rows[lo:hi] - start
-            codes = self._shard_joint_codes(shard, attrs, shape)
-            labels = shard.labels()
-            if sel is not None:
-                codes = codes[sel]
-                labels = labels[sel]
-            pos += np.bincount(codes[labels == 1], minlength=size)
-            neg += np.bincount(codes[labels == 0], minlength=size)
-        return pos.astype(np.int64), neg.astype(np.int64), shape
-
-    # -- row-level edits (return new sharded datasets) -------------------------
-    def take(self, indices: np.ndarray) -> "ShardedDataset":
-        """New dataset with rows at ``indices`` (boolean mask or int index).
-
-        A boolean mask is copy-on-write at shard granularity: fully-kept
-        shards are reused by reference (disk shards stay on disk).  An
-        integer index gathers into a single memory shard, preserving order
-        and duplicates exactly like :meth:`Dataset.take`.
-        """
-        indices = np.asarray(indices)
-        if indices.dtype == bool:
-            if indices.shape != (self.n_rows,):
-                raise DataError(
-                    f"boolean take mask has shape {indices.shape}, "
-                    f"expected ({self.n_rows},)"
-                )
-            shards: list[Shard] = []
-            for i, shard in enumerate(self._shards):
-                sub = indices[int(self._offsets[i]) : int(self._offsets[i + 1])]
-                if sub.all():
-                    shards.append(shard)
-                elif sub.any():
-                    arrays = [
-                        np.asarray(shard.column(ci))[sub]
-                        for ci in range(len(self.schema))
-                    ]
-                    shards.append(MemoryShard(arrays, shard.labels()[sub]))
-            return ShardedDataset(self.schema, shards, self.protected)
-        return ShardedDataset(
-            self.schema, [self._gather(indices)], self.protected
-        )
-
-    def _gather(self, indices: np.ndarray) -> MemoryShard:
-        idx = np.asarray(indices, dtype=np.int64).copy()
-        idx[idx < 0] += self.n_rows
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n_rows):
-            raise DataError(f"take index out of range for {self.n_rows} rows")
-        order = np.argsort(idx, kind="stable")
-        sorted_idx = idx[order]
-        arrays = [
-            np.empty(
-                idx.size,
-                dtype=np.int64 if col.is_categorical else np.float64,
-            )
-            for col in self.schema
-        ]
-        y_out = np.empty(idx.size, dtype=np.int8)
-        for i, shard in enumerate(self._shards):
-            start, stop = int(self._offsets[i]), int(self._offsets[i + 1])
-            lo, hi = np.searchsorted(sorted_idx, [start, stop])
-            if lo == hi:
-                continue
-            local = sorted_idx[lo:hi] - start
-            dest = order[lo:hi]
-            for ci in range(len(self.schema)):
-                arrays[ci][dest] = np.asarray(shard.column(ci))[local]
-            y_out[dest] = shard.labels()[local]
-        return MemoryShard(arrays, y_out)
-
-    def drop(self, indices: np.ndarray) -> "ShardedDataset":
-        """New dataset with rows at integer ``indices`` removed (shards the
-        drop does not touch are reused by reference)."""
-        keep = np.ones(self.n_rows, dtype=bool)
-        keep[np.asarray(indices, dtype=np.int64)] = False
-        return self.take(keep)
-
-    def append_rows(self, other: "Dataset | ShardedDataset") -> "ShardedDataset":
-        """New dataset with ``other``'s rows appended (schemas must match).
-
-        ``other``'s shards (or, for an in-memory dataset, its column arrays
-        wrapped as one memory shard) are adopted by reference.
-        """
-        if other.schema != self.schema:
-            raise DataError("cannot append rows with a different schema")
-        if isinstance(other, ShardedDataset):
-            extra: tuple[Shard, ...] = other._shards
-        else:
-            arrays = [other.column(name) for name in self.schema.names]
-            extra = (MemoryShard(arrays, other.y),)
-        return ShardedDataset(
-            self.schema, self._shards + extra, self.protected
-        )
-
-    def duplicate_rows(self, indices: np.ndarray) -> "ShardedDataset":
-        """New dataset with copies of rows at ``indices`` appended."""
-        return self.append_rows(self.take(np.asarray(indices, dtype=np.int64)))
-
-    def with_labels(self, y: np.ndarray) -> "ShardedDataset":
-        """New dataset sharing every shard's columns under labels ``y``.
-
-        O(n) in label bytes only — column files are untouched.
-        """
-        y = np.asarray(y)
-        if y.ndim != 1:
-            raise DataError(f"y must be 1-D, got shape {y.shape}")
-        if y.shape[0] != self.n_rows:
-            raise DataError(
-                f"with_labels needs {self.n_rows} labels, got {y.shape[0]}"
-            )
-        if y.shape[0]:
-            bad = ~np.isin(y, (0, 1))
-            if bad.any():
-                row = int(np.flatnonzero(bad)[0])
-                raise DataError(
-                    f"labels must be binary 0/1; row {row} has {y[row]!r}"
-                )
-        y8 = y.astype(np.int8, copy=False)
-        shards = [
-            RelabeledShard(
-                shard, y8[int(self._offsets[i]) : int(self._offsets[i + 1])]
-            )
-            for i, shard in enumerate(self._shards)
-        ]
-        return ShardedDataset(self.schema, shards, self.protected)
-
-    def with_protected(self, protected: Sequence[str]) -> "ShardedDataset":
-        """New view over the same shards with a different protected set."""
-        return ShardedDataset(self.schema, self._shards, protected)
-
-    def copy(self) -> "ShardedDataset":
-        """Deep in-memory copy (one memory shard per source shard)."""
-        shards = [
-            MemoryShard(
-                [np.asarray(s.column(ci)).copy() for ci in range(len(self.schema))],
-                s.labels().copy(),
-            )
-            for s in self._shards
-        ]
-        return ShardedDataset(self.schema, shards, self.protected)
-
-    # -- streaming-style single edits ------------------------------------------
-    def apply_delta(
-        self,
-        kind: str,
-        *,
-        values: Sequence[float] | None = None,
-        label: int | None = None,
-        row: int | None = None,
-    ) -> tuple["ShardedDataset", dict]:
-        """Apply one edit, touching only the shard that owns the row.
-
-        Same contract as :meth:`Dataset.apply_delta`: returns the new dataset
-        plus a leaf-granular ``{"pattern", "dpos", "dneg"}`` count delta over
-        the protected space.  An insert appends a one-row memory shard, a
-        delete materialises just the owning shard, a relabel wraps the owning
-        shard in a label overlay.  Value-validation errors reference
-        shard-local row numbers.
-        """
-        from repro.core.pattern import Pattern
-
-        shape = self.schema.cardinalities(self.protected)
-        dpos = np.zeros(shape, dtype=np.int64)
-        dneg = np.zeros(shape, dtype=np.int64)
-
-        if kind == "insert":
-            if values is None or label is None:
-                raise DataError("insert delta needs values= and label=")
-            values = list(values)
-            if len(values) != len(self.schema):
-                raise DataError(
-                    f"insert for row {self.n_rows} has {len(values)} values "
-                    f"for {len(self.schema)} schema columns "
-                    f"{list(self.schema.names)}"
-                )
-            if int(label) not in (0, 1):
-                raise DataError(
-                    f"labels must be binary 0/1; row {self.n_rows} has {label!r}"
-                )
-            tail = Dataset(
-                self.schema,
-                {
-                    name: np.asarray([value])
-                    for name, value in zip(self.schema.names, values)
-                },
-                np.asarray([int(label)], dtype=np.int64),
-                self.protected,
-            )
-            extra = MemoryShard(
-                [tail.column(name) for name in self.schema.names], tail.y
-            )
-            out = ShardedDataset(
-                self.schema, self._shards + (extra,), self.protected
-            )
-            cell = tuple(int(tail.column(a)[0]) for a in self.protected)
-            (dpos if int(label) == 1 else dneg)[cell] += 1
-        elif kind == "delete":
-            if row is None:
-                raise DataError("delete delta needs row=")
-            self._require_row(row, "delete")
-            si, local = self._owner(row)
-            shard = self._shards[si]
-            cell = tuple(
-                int(np.asarray(shard.column(self._col_index[a]))[local])
-                for a in self.protected
-            )
-            (dpos if int(shard.labels()[local]) == 1 else dneg)[cell] -= 1
-            keep = np.ones(shard.n_rows, dtype=bool)
-            keep[local] = False
-            replacement = MemoryShard(
-                [
-                    np.asarray(shard.column(ci))[keep]
-                    for ci in range(len(self.schema))
-                ],
-                shard.labels()[keep],
-            )
-            out = ShardedDataset(
-                self.schema,
-                self._shards[:si] + (replacement,) + self._shards[si + 1 :],
-                self.protected,
-            )
-        elif kind == "relabel":
-            if row is None or label is None:
-                raise DataError("relabel delta needs row= and label=")
-            self._require_row(row, "relabel")
-            if label not in (0, 1):
-                raise DataError(
-                    f"labels must be binary 0/1; row {row} has {label!r}"
-                )
-            si, local = self._owner(row)
-            shard = self._shards[si]
-            old = int(shard.labels()[local])
-            y_shard = shard.labels().copy()
-            y_shard[local] = int(label)
-            out = ShardedDataset(
-                self.schema,
-                self._shards[:si]
-                + (RelabeledShard(shard, y_shard),)
-                + self._shards[si + 1 :],
-                self.protected,
-            )
-            if old != int(label):
-                cell = tuple(
-                    int(np.asarray(shard.column(self._col_index[a]))[local])
-                    for a in self.protected
-                )
-                dpos[cell] += int(label) - old
-                dneg[cell] += old - int(label)
-        else:
-            raise DataError(
-                f"unknown delta kind {kind!r}; expected insert/delete/relabel"
-            )
-        return out, {"pattern": Pattern(), "dpos": dpos, "dneg": dneg}
-
-    def _owner(self, row: int) -> tuple[int, int]:
-        """``(shard_index, local_row)`` of global ``row``."""
-        si = int(np.searchsorted(self._offsets, row, side="right")) - 1
-        return si, int(row - self._offsets[si])
-
-    def _require_row(self, row: int, verb: str) -> None:
-        if not 0 <= row < self.n_rows:
-            raise DataError(
-                f"{verb} targets unknown row {row}; dataset has rows "
-                f"0..{self.n_rows - 1}"
-            )
-
-    # -- materialisation -------------------------------------------------------
-    def feature_matrix(
-        self, features: Sequence[str] | None = None, one_hot: bool = True
-    ) -> np.ndarray:
-        """Dense design matrix over ``features`` (materialises n rows)."""
-        if features is None:
-            features = self.schema.names
-        self.schema.require(features)
-        blocks: list[np.ndarray] = []
-        for name in features:
-            col = self.schema[name]
-            arr = self.column(name)
-            if col.is_categorical and one_hot:
-                block = np.zeros((self.n_rows, col.cardinality))
-                block[np.arange(self.n_rows), arr] = 1.0
-                blocks.append(block)
-            else:
-                blocks.append(arr.astype(np.float64)[:, None])
-        if not blocks:
-            return np.zeros((self.n_rows, 0))
-        return np.hstack(blocks)
+        return self._reduce_counts(indices, attrs)
 
     def to_dataset(self) -> Dataset:
-        """Fully materialise into an in-memory :class:`Dataset`."""
+        """Materialise into a plain one-chunk :class:`Dataset`.
+
+        The columns are concatenated into memory; a single-shard store's
+        stay read-only memory-mapped views.
+        """
         return Dataset(
             self.schema,
             {name: self.column(name) for name in self.schema.names},
@@ -799,12 +278,6 @@ def clear_ref_cache() -> None:
     _OPENED.clear()
 
 
-def _manifest_schema(manifest: dict) -> tuple[Schema, tuple[str, ...]]:
-    from repro.data.store.format import validate_manifest
-
-    return validate_manifest(manifest)
-
-
 def _require_shard_rows(shard_rows: int) -> None:
     if int(shard_rows) < 1:
         raise StoreError(f"shard_rows must be >= 1, got {shard_rows}")
@@ -812,8 +285,6 @@ def _require_shard_rows(shard_rows: int) -> None:
 
 __all__ = [
     "DiskShard",
-    "MemoryShard",
-    "RelabeledShard",
     "ShardedDataset",
     "StoreRef",
     "open_store_ref",

@@ -468,15 +468,17 @@ class WorkerPool:
         """
         swapped = dict(params)
         for name, value in params.items():
-            if isinstance(value, Dataset):
+            # ShardedDataset is a Dataset: test it first, so an edited store
+            # raises in store_ref() instead of being copied into /dev/shm.
+            if isinstance(value, ShardedDataset):
+                swapped[name] = value.store_ref()
+            elif isinstance(value, Dataset):
                 ref = self._dataset_refs.get(id(value))
                 if ref is None:
                     ref = publish_dataset(value)
                     self._dataset_refs[id(value)] = ref
                     self._published.append(value)
                 swapped[name] = ref
-            elif isinstance(value, ShardedDataset):
-                swapped[name] = value.store_ref()
         return swapped
 
     # -- scheduling --------------------------------------------------------

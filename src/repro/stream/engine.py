@@ -53,14 +53,12 @@ from repro.core.ibs import (
 from repro.core.imbalance import imbalance_score
 from repro.core.neighbors import hamming_budget, vectorized_neighbor_counts
 from repro.core.pattern import Pattern
-from repro.data.dataset import Dataset
 from repro.errors import DeltaError, JournalError, StreamError
 from repro.obs import trace as obs
 from repro.stream.deltas import (
     Delta,
     KIND_DELETE,
     KIND_INSERT,
-    KIND_RELABEL,
     deltas_from_records,
 )
 from repro.stream.journal import (
@@ -75,21 +73,13 @@ from repro.stream.monitor import AlarmEvent, DriftMonitor
 from repro.stream.state import StreamState
 
 
-def _empty_dataset(config: StreamConfig) -> Dataset:
-    cols = {
-        col.name: np.zeros(0, dtype=np.int64 if col.is_categorical else np.float64)
-        for col in config.schema
-    }
-    return Dataset(config.schema, cols, np.zeros(0, dtype=np.int8), config.protected)
-
-
 class StreamAuditor:
     """Incrementally maintained IBS state over a delta stream."""
 
     def __init__(self, config: StreamConfig):
         self.config = config
         self.state = StreamState(config.schema, config.protected)
-        self.hierarchy = Hierarchy(_empty_dataset(config))
+        self.hierarchy = Hierarchy(self.state.materialize())
         self.monitor = DriftMonitor(config.tau_c, config.hysteresis)
         self._axis_of = {a: i for i, a in enumerate(config.protected)}
         self._leaf_shape = config.schema.cardinalities(config.protected)
@@ -110,49 +100,10 @@ class StreamAuditor:
     ) -> tuple[list[Delta], list[tuple[Delta, DeltaError]]]:
         """Split a batch into appliable deltas and poison ones, mutating nothing.
 
-        Validation simulates the batch's sequential semantics with an
-        overlay (an insert earlier in the batch makes a later delete of
-        that row valid; a poisoned insert does not claim a row id), so the
-        surviving prefix order applies cleanly.
+        Delegates to :meth:`StreamState.validate_batch`, the stream's one
+        delta validator.
         """
-        next_id = self.state.next_row_id
-        overlay: dict[int, bool] = {}
-        valid: list[Delta] = []
-        poison: list[tuple[Delta, DeltaError]] = []
-        for delta in deltas:
-            try:
-                if delta.kind == KIND_INSERT:
-                    self.state._validate_insert(delta, next_id)
-                    overlay[next_id] = True
-                    next_id += 1
-                else:
-                    row = delta.row
-                    if row in overlay:
-                        alive = overlay[row]
-                    elif 0 <= row < self.state.next_row_id:
-                        alive = self.state.is_alive(row)
-                    else:
-                        raise DeltaError(
-                            f"{delta.kind} targets unknown row {row}; ids "
-                            f"0..{next_id - 1} have been inserted"
-                        )
-                    if not alive:
-                        raise DeltaError(
-                            f"{delta.kind} targets dead row {row} "
-                            "(already deleted)"
-                        )
-                    if delta.kind == KIND_RELABEL and delta.label not in (0, 1):
-                        raise DeltaError(
-                            f"labels must be binary 0/1; row {row} has "
-                            f"{delta.label!r}"
-                        )
-                    if delta.kind == KIND_DELETE:
-                        overlay[row] = False
-            except DeltaError as exc:
-                poison.append((delta, exc))
-            else:
-                valid.append(delta)
-        return valid, poison
+        return self.state.validate_batch(deltas)
 
     # -- applying ---------------------------------------------------------------
     def apply_batch(

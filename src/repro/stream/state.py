@@ -8,11 +8,12 @@ and relabels touch one slot, and the stable row id of a row is simply its
 insertion index — so a delete arriving batches after its insert still
 addresses the right row without any id map.
 
-Every mutation validates against the schema first and raises a typed
-:class:`~repro.errors.DeltaError` (mirroring the Dataset constructor's
-column/row-naming messages) so the service can quarantine poison deltas
-without wedging; validation never mutates, letting the service check a
-whole batch *before* journalling it.
+This is the one place a delta is validated and applied.  Every mutation
+checks against the schema first and raises a typed
+:class:`~repro.errors.DeltaError` naming the column and row, so the service
+can quarantine poison deltas without wedging; :meth:`StreamState.validate_batch`
+never mutates, letting the service check a whole batch *before*
+journalling it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from repro.stream.deltas import (
 
 #: Initial per-column capacity; doubles on overflow.
 _INITIAL_CAPACITY = 1024
+
+#: Largest finite float64; a numeric value outside ±this is not finite.
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class StreamState:
@@ -77,30 +81,62 @@ class StreamState:
         mask = self._alive[: self._n]
         return int(self._y[: self._n][mask].sum())
 
-    def is_alive(self, row: int) -> bool:
-        """Whether ``row`` is a live (inserted, undeleted) row id."""
-        return 0 <= row < self._n and bool(self._alive[row])
-
     # -- validation ----------------------------------------------------------
     def validate(self, delta: Delta) -> None:
         """Raise :class:`~repro.errors.DeltaError` unless ``delta`` applies.
 
-        Pure check — the state is untouched, so a batch can be validated
-        in full before any of it is journalled or applied.
+        Pure check — the state is untouched.
         """
+        self._check(delta, self._n, {})
+
+    def validate_batch(
+        self, deltas: Sequence[Delta]
+    ) -> tuple[list[Delta], list[tuple[Delta, DeltaError]]]:
+        """Split a batch into appliable deltas and poison ones, mutating nothing.
+
+        Validation simulates the batch's sequential semantics with an
+        overlay (an insert earlier in the batch makes a later delete of
+        that row valid; a poisoned insert does not claim a row id), so the
+        surviving prefix order applies cleanly.
+        """
+        next_id = self._n
+        overlay: dict[int, bool] = {}
+        valid: list[Delta] = []
+        poison: list[tuple[Delta, DeltaError]] = []
+        for delta in deltas:
+            try:
+                self._check(delta, next_id, overlay)
+            except DeltaError as exc:
+                poison.append((delta, exc))
+                continue
+            valid.append(delta)
+            if delta.kind == KIND_INSERT:
+                overlay[next_id] = True
+                next_id += 1
+            elif delta.kind == KIND_DELETE:
+                overlay[delta.row] = False
+        return valid, poison
+
+    def _check(self, delta: Delta, next_id: int, overlay: dict[int, bool]) -> None:
+        """Validate ``delta`` as if ids ``[0, next_id)`` exist and the rows
+        in ``overlay`` are alive (True) or deleted (False)."""
         if delta.kind == KIND_INSERT:
-            self._validate_insert(delta, self._n)
-        elif delta.kind == KIND_DELETE:
-            self._validate_target(delta.row, "delete")
-        elif delta.kind == KIND_RELABEL:
-            self._validate_target(delta.row, "relabel")
-            if delta.label not in (0, 1):
-                raise DeltaError(
-                    f"labels must be binary 0/1; row {delta.row} has "
-                    f"{delta.label!r}"
-                )
-        else:  # pragma: no cover - delta types are closed
-            raise DeltaError(f"unknown delta kind {delta.kind!r}")
+            self._validate_insert(delta, next_id)
+            return
+        row = delta.row
+        if not 0 <= row < next_id:
+            raise DeltaError(
+                f"{delta.kind} targets unknown row {row}; ids "
+                f"0..{next_id - 1} have been inserted"
+            )
+        if not (overlay[row] if row in overlay else self._alive[row]):
+            raise DeltaError(
+                f"{delta.kind} targets dead row {row} (already deleted)"
+            )
+        if delta.kind == KIND_RELABEL and delta.label not in (0, 1):
+            raise DeltaError(
+                f"labels must be binary 0/1; row {row} has {delta.label!r}"
+            )
 
     def _validate_insert(self, delta: InsertDelta, row: int) -> None:
         if len(delta.values) != len(self._specs):
@@ -114,26 +150,18 @@ class StreamState:
             )
         for (name, cardinality), value in zip(self._specs, delta.values):
             if cardinality is not None:
-                code = int(value)
-                if code != value or not 0 <= code < cardinality:
+                # The range test comes first: NaN and ±inf fail it, where
+                # int() would raise an untyped ValueError/OverflowError.
+                if not 0 <= value < cardinality or int(value) != value:
                     raise DeltaError(
                         f"column {name!r} has code {value!r} at row {row}, "
                         f"outside [0, {cardinality})"
                     )
-            elif not np.isfinite(value):
+            elif not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                 raise DeltaError(
                     f"column {name!r} has non-finite value {value!r} at "
                     f"row {row}; features must be finite (no NaN/inf)"
                 )
-
-    def _validate_target(self, row: int, verb: str) -> None:
-        if not 0 <= row < self._n:
-            raise DeltaError(
-                f"{verb} targets unknown row {row}; ids 0..{self._n - 1} "
-                "have been inserted"
-            )
-        if not self._alive[row]:
-            raise DeltaError(f"{verb} targets dead row {row} (already deleted)")
 
     # -- mutation -------------------------------------------------------------
     def _grow(self) -> None:
@@ -149,22 +177,25 @@ class StreamState:
             setattr(self, attr, grown)
         self._cap = new_cap
 
+    def _write(self, row: int, delta: InsertDelta) -> None:
+        for (name, _cardinality), value in zip(self._specs, delta.values):
+            self._cols[name][row] = value
+        self._y[row] = delta.label
+        self._alive[row] = True
+
     def insert(self, delta: InsertDelta) -> tuple[int, tuple[int, ...]]:
         """Append a validated insert; returns ``(row_id, protected codes)``."""
         self._validate_insert(delta, self._n)
         if self._n == self._cap:
             self._grow()
         row = self._n
-        for col, value in zip(self.schema, delta.values):
-            self._cols[col.name][row] = value
-        self._y[row] = delta.label
-        self._alive[row] = True
+        self._write(row, delta)
         self._n += 1
         return row, self.protected_codes(row)
 
     def delete(self, delta: DeleteDelta) -> tuple[tuple[int, ...], int]:
         """Tombstone a validated delete; returns ``(protected codes, label)``."""
-        self._validate_target(delta.row, "delete")
+        self.validate(delta)
         self._alive[delta.row] = False
         return self.protected_codes(delta.row), int(self._y[delta.row])
 
@@ -226,10 +257,7 @@ class StreamState:
                 )
             delta = InsertDelta(values=tuple(values), label=int(label))
             state._validate_insert(delta, row_id)
-            for col, value in zip(schema, delta.values):
-                state._cols[col.name][row_id] = value
-            state._y[row_id] = delta.label
-            state._alive[row_id] = True
+            state._write(row_id, delta)
         return state
 
     def alive_row_ids(self) -> np.ndarray:

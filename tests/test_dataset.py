@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import Hierarchy
 from repro.data import Column, Dataset, Schema, concat, schema_from_domains
-from repro.errors import DataError, SchemaError
+from repro.data.store import ShardedDataset
+from repro.errors import DataError, DeltaError, SchemaError
+from repro.stream.deltas import InsertDelta, delta_from_record
+from repro.stream.engine import StreamAuditor
+from repro.stream.journal import StreamConfig
 
 
 class TestConstruction:
@@ -208,15 +213,29 @@ class TestFromRowsAndConcat:
             concat([])
 
 
+def apply_delta(dataset, record):
+    """Apply one stream delta record to ``dataset``'s rows through the
+    stream's one delta path; returns the auditor holding the result."""
+    auditor = StreamAuditor(
+        StreamConfig(schema=dataset.schema, protected=dataset.protected, k=2)
+    )
+    names = dataset.schema.names
+    rows = [
+        InsertDelta(
+            values=tuple(dataset.column(n)[i].item() for n in names),
+            label=int(dataset.y[i]),
+        )
+        for i in range(dataset.n_rows)
+    ]
+    auditor.apply_batch(1, "rows", rows)
+    auditor.apply_batch(2, "delta", [delta_from_record(record)])
+    return auditor
+
+
 class TestApplyDelta:
-    """Streaming-style single edits: new dataset + hierarchy count delta."""
-
-    def fold(self, source, delta):
-        from repro.core import Hierarchy
-
-        h = Hierarchy(source)
-        h.apply_count_delta(delta["pattern"], delta["dpos"], delta["dneg"])
-        return h
+    """Single stream edits on a dataset's rows (``StreamState`` is the one
+    delta path): the result equals the matching Dataset edit, and the
+    auditor's folded hierarchy equals one rebuilt from that result."""
 
     def assert_equal_hierarchies(self, a, b):
         assert a.attrs == b.attrs
@@ -225,74 +244,140 @@ class TestApplyDelta:
                 assert np.array_equal(na.pos, nb.pos), na.attrs
                 assert np.array_equal(na.neg, nb.neg), na.attrs
 
-    def test_insert_appends_one_row(self, toy_dataset):
-        out, delta = toy_dataset.apply_delta(
-            "insert", values=(2, 1, 0.25), label=1
-        )
-        assert out.n_rows == toy_dataset.n_rows + 1
-        assert int(out.y[-1]) == 1
-        assert int(delta["dpos"].sum()) == 1 and int(delta["dneg"].sum()) == 0
-        from repro.core import Hierarchy
+    def assert_applied(self, auditor, expected):
+        out = auditor.state.materialize()
+        assert np.array_equal(out.y, expected.y)
+        for name in expected.schema.names:
+            assert np.array_equal(out.column(name), expected.column(name))
+        self.assert_equal_hierarchies(auditor.hierarchy, Hierarchy(out))
 
-        self.assert_equal_hierarchies(self.fold(toy_dataset, delta), Hierarchy(out))
+    def test_insert_appends_one_row(self, toy_dataset):
+        auditor = apply_delta(toy_dataset, ["i", [2, 1, 0.25], 1])
+        row = Dataset(
+            toy_dataset.schema, {"age": [2], "sex": [1], "score": [0.25]}, [1]
+        )
+        self.assert_applied(auditor, toy_dataset.append_rows(row))
 
     def test_delete_drops_the_row(self, toy_dataset):
-        out, delta = toy_dataset.apply_delta("delete", row=5)
-        assert out.n_rows == toy_dataset.n_rows - 1
-        assert int(delta["dpos"].sum() + delta["dneg"].sum()) == -1
-        from repro.core import Hierarchy
-
-        self.assert_equal_hierarchies(self.fold(toy_dataset, delta), Hierarchy(out))
+        auditor = apply_delta(toy_dataset, ["d", 5])
+        self.assert_applied(auditor, toy_dataset.drop([5]))
 
     def test_relabel_flips_counts(self, toy_dataset):
         row = 5  # label 0 in the fixture
-        out, delta = toy_dataset.apply_delta("relabel", row=row, label=1)
-        assert int(out.y[row]) == 1
-        assert int(delta["dpos"].sum()) == 1 and int(delta["dneg"].sum()) == -1
-        from repro.core import Hierarchy
-
-        self.assert_equal_hierarchies(self.fold(toy_dataset, delta), Hierarchy(out))
+        auditor = apply_delta(toy_dataset, ["r", row, 1])
+        y = toy_dataset.y.copy()
+        y[row] = 1
+        self.assert_applied(auditor, toy_dataset.with_labels(y))
 
     def test_noop_relabel_has_zero_delta(self, toy_dataset):
         old = int(toy_dataset.y[3])
-        __, delta = toy_dataset.apply_delta("relabel", row=3, label=old)
-        assert not delta["dpos"].any() and not delta["dneg"].any()
+        auditor = apply_delta(toy_dataset, ["r", 3, old])
+        self.assert_equal_hierarchies(auditor.hierarchy, Hierarchy(toy_dataset))
 
     def test_source_dataset_is_untouched(self, toy_dataset):
         n = toy_dataset.n_rows
         y_before = toy_dataset.y.copy()
-        toy_dataset.apply_delta("insert", values=(0, 0, 0.0), label=0)
-        toy_dataset.apply_delta("delete", row=0)
-        toy_dataset.apply_delta("relabel", row=0, label=1)
+        auditor = apply_delta(toy_dataset, ["r", 0, 0])
+        snapshot = auditor.state.materialize()
+        auditor.apply_batch(3, "more", [
+            delta_from_record(r) for r in (["i", [0, 0, 0.0], 0], ["d", 1])
+        ])
         assert toy_dataset.n_rows == n
         assert np.array_equal(toy_dataset.y, y_before)
+        assert snapshot.n_rows == n and int(snapshot.y[0]) == 0
 
     def test_insert_arity_error_names_columns(self, toy_dataset):
-        with pytest.raises(DataError, match="2 values for 3 schema columns"):
-            toy_dataset.apply_delta("insert", values=(0, 0), label=1)
+        with pytest.raises(DeltaError, match="2 values for 3 schema columns"):
+            apply_delta(toy_dataset, ["i", [0, 0], 1])
 
     def test_insert_validation_matches_constructor(self, toy_dataset):
         # An out-of-range categorical code raises the same row-naming
-        # DataError the constructor produces for that row.
-        with pytest.raises(DataError, match=f"row {toy_dataset.n_rows}"):
-            toy_dataset.apply_delta("insert", values=(9, 0, 0.0), label=1)
+        # message the constructor produces for that row.
+        n = toy_dataset.n_rows
+        with pytest.raises(DeltaError) as from_stream:
+            apply_delta(toy_dataset, ["i", [9, 0, 0.0], 1])
+        with pytest.raises(DataError) as from_constructor:
+            Dataset(
+                toy_dataset.schema,
+                {
+                    name: np.append(toy_dataset.column(name), value)
+                    for name, value in zip(toy_dataset.schema.names, (9, 0, 0.0))
+                },
+                np.append(toy_dataset.y, 1),
+            )
+        assert f"at row {n}," in str(from_stream.value)
+        assert str(from_stream.value) == str(from_constructor.value)
 
     def test_delete_unknown_row(self, toy_dataset):
-        with pytest.raises(DataError, match="delete targets unknown row 99"):
-            toy_dataset.apply_delta("delete", row=99)
+        with pytest.raises(DeltaError, match="delete targets unknown row 99"):
+            apply_delta(toy_dataset, ["d", 99])
 
     def test_relabel_rejects_non_binary(self, toy_dataset):
-        with pytest.raises(DataError, match="binary 0/1"):
-            toy_dataset.apply_delta("relabel", row=0, label=2)
+        with pytest.raises(DeltaError, match="binary 0/1"):
+            apply_delta(toy_dataset, ["r", 0, 2])
 
     def test_unknown_kind(self, toy_dataset):
-        with pytest.raises(DataError, match="unknown delta kind"):
-            toy_dataset.apply_delta("upsert", row=0)
+        with pytest.raises(DeltaError, match="unknown delta tag"):
+            apply_delta(toy_dataset, ["u", 0])
 
     def test_missing_arguments_are_typed(self, toy_dataset):
-        with pytest.raises(DataError, match="insert delta needs"):
-            toy_dataset.apply_delta("insert", label=1)
-        with pytest.raises(DataError, match="delete delta needs"):
-            toy_dataset.apply_delta("delete")
-        with pytest.raises(DataError, match="relabel delta needs"):
-            toy_dataset.apply_delta("relabel", row=0)
+        with pytest.raises(DeltaError, match="insert record must be"):
+            apply_delta(toy_dataset, ["i", [0, 0, 0.0]])
+        with pytest.raises(DeltaError, match="delete record must be"):
+            apply_delta(toy_dataset, ["d"])
+        with pytest.raises(DeltaError, match="relabel record must be"):
+            apply_delta(toy_dataset, ["r", 0])
+
+
+def in_memory(dataset):
+    return dataset
+
+
+def sharded_twin(dataset):
+    return ShardedDataset.from_dataset(dataset, shard_rows=5)
+
+
+ROW_ERRORS = {
+    "region_counts-mask": (
+        lambda d: d.region_counts(("age",), rows=np.ones(13, dtype=bool)),
+        "boolean row mask has shape (13,), expected (12,)",
+    ),
+    "take-mask": (
+        lambda d: d.take(np.ones(13, dtype=bool)),
+        "boolean row mask has shape (13,), expected (12,)",
+    ),
+    "region_counts-index": (
+        lambda d: d.region_counts(("age",), rows=[12]),
+        "row index 12 out of range for 12 rows",
+    ),
+    "take-index": (
+        lambda d: d.take([3, 12]), "row index 12 out of range for 12 rows"
+    ),
+    "take-negative": (
+        lambda d: d.take([-13]), "row index -13 out of range for 12 rows"
+    ),
+    "drop-index": (
+        lambda d: d.drop([12]), "row index 12 out of range for 12 rows"
+    ),
+    "with_labels-length": (
+        lambda d: d.with_labels(np.zeros(13, dtype=int)),
+        "with_labels needs 12 labels, got 13",
+    ),
+}
+
+
+class TestErrorContract:
+    """Both backings of the row store fail alike, with one wording."""
+
+    @pytest.mark.parametrize("backing", [in_memory, sharded_twin])
+    @pytest.mark.parametrize("case", sorted(ROW_ERRORS))
+    def test_bad_rows_raise_one_data_error(self, toy_dataset, backing, case):
+        call, message = ROW_ERRORS[case]
+        with pytest.raises(DataError) as caught:
+            call(backing(toy_dataset))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("backing", [in_memory, sharded_twin])
+    def test_empty_take_is_zero_rows(self, toy_dataset, backing):
+        out = backing(toy_dataset).take([])
+        assert len(out) == 0 and out.column("age").dtype == np.int64

@@ -8,8 +8,9 @@ in-memory :class:`~repro.data.Dataset` it was built from:
 * ``region_counts`` byte-identical — same bytes, dtype and shape — for
   the full table, a boolean row mask, and explicit row indices;
 * ``identify_ibs`` reports equal under all three neighbourhood engines;
-* random insert/delete/relabel sequences produce equal datasets and
-  equal ``{"pattern", "dpos", "dneg"}`` count deltas at every step;
+* random sequences of row edits (``take`` by mask and by index with
+  duplicates, ``drop``, ``append_rows``, ``duplicate_rows``,
+  ``with_labels``) keep both forms equal, counts included, at every step;
 * a disk round-trip (write_store -> open) preserves every column bit
   for bit, and ``remedy_dataset`` runs unmodified on the sharded form.
 """
@@ -118,60 +119,65 @@ class TestIbsParity:
             assert actual == expected
 
 
+EDITS = (
+    "take_mask", "take_index", "drop", "append_rows", "duplicate_rows",
+    "with_labels",
+)
+
+
 @st.composite
-def delta_sequences(draw):
-    """(dataset, shard_rows, ops): ops stay valid as the length drifts."""
+def edit_sequences(draw):
+    """(dataset, shard_rows, ops): each op is an edit name and a seed that
+    draws its arguments from the length the table has when it runs."""
     dataset, shard_rows = draw(store_cases())
-    n_ops = draw(st.integers(1, 6))
-    ops = []
-    length = len(dataset)
-    for __ in range(n_ops):
-        choices = ["insert", "relabel"] + (["delete"] if length > 1 else [])
-        kind = draw(st.sampled_from(choices))
-        if kind == "insert":
-            values = []
-            for col in dataset.schema:
-                if col.is_categorical:
-                    values.append(draw(st.integers(0, col.cardinality - 1)))
-                else:
-                    values.append(draw(st.floats(-2, 2, allow_nan=False)))
-            ops.append(("insert", {
-                "values": tuple(values),
-                "label": draw(st.integers(0, 1)),
-            }))
-            length += 1
-        elif kind == "delete":
-            ops.append(("delete", {"row": draw(st.integers(0, length - 1))}))
-            length -= 1
-        else:
-            ops.append(("relabel", {
-                "row": draw(st.integers(0, length - 1)),
-                "label": draw(st.integers(0, 1)),
-            }))
+    ops = draw(st.lists(
+        st.tuples(st.sampled_from(EDITS), st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=6,
+    ))
     return dataset, shard_rows, ops
 
 
+def apply_edit(table, kind, seed, source, shard_rows):
+    """Apply one edit; identical arguments for equal-length tables."""
+    rng = np.random.default_rng(seed)
+    n = len(table)
+    if kind == "take_mask":
+        return table.take(rng.random(n) < 0.7)
+    if kind == "take_index":
+        # negative positions and repeats included; may be empty
+        size = int(rng.integers(0, n + 3)) if n else 0
+        return table.take(rng.integers(-n, n, size=size) if n else [])
+    if kind == "drop":
+        return table.drop(rng.choice(n, size=min(n, 2), replace=False))
+    if kind == "duplicate_rows":
+        return table.duplicate_rows(rng.integers(0, n, size=3) if n else [])
+    if kind == "with_labels":
+        return table.with_labels(rng.integers(0, 2, size=n))
+    extra = source.take(rng.integers(0, len(source), size=int(rng.integers(1, 6))))
+    if isinstance(table, ShardedDataset):
+        extra = ShardedDataset.from_dataset(extra, shard_rows)
+    return table.append_rows(extra)
+
+
 class TestDeltaParity:
-    @settings(max_examples=40, deadline=None)
-    @given(delta_sequences())
+    @settings(max_examples=60, deadline=None)
+    @given(edit_sequences())
     def test_delta_sequences_stay_in_lockstep(self, case):
-        dataset, shard_rows, ops = case
-        sharded = ShardedDataset.from_dataset(dataset, shard_rows=shard_rows)
-        for kind, kwargs in ops:
-            dataset, cell = dataset.apply_delta(kind, **kwargs)
-            sharded, scell = sharded.apply_delta(kind, **kwargs)
-            assert scell["pattern"] == cell["pattern"]
-            assert np.array_equal(scell["dpos"], cell["dpos"])
-            assert np.array_equal(scell["dneg"], cell["dneg"])
+        source, shard_rows, ops = case
+        dataset = source
+        sharded = ShardedDataset.from_dataset(source, shard_rows=shard_rows)
+        for kind, seed in ops:
+            dataset = apply_edit(dataset, kind, seed, source, shard_rows)
+            sharded = apply_edit(sharded, kind, seed, source, shard_rows)
+            assert isinstance(sharded, ShardedDataset)
+            assert type(dataset) is Dataset and len(dataset._chunks) <= 1
             assert len(sharded) == len(dataset)
+            assert sharded.y.dtype == dataset.y.dtype
             assert np.array_equal(sharded.y, dataset.y)
             for name in dataset.schema.names:
-                assert np.array_equal(
-                    sharded.column(name), dataset.column(name)
-                )
-            assert_counts_byte_identical(
-                dataset, sharded, dataset.protected
-            )
+                a, b = dataset.column(name), sharded.column(name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert_counts_byte_identical(dataset, sharded, dataset.protected)
 
 
 class TestRemedyParity:

@@ -102,6 +102,24 @@ class TestIngest:
         )
         assert status == 422
 
+    def test_non_finite_code_is_dead_lettered_not_a_500(self, gateway, client):
+        # json.loads accepts NaN/Infinity, and 1e400 overflows to inf.
+        for i, literal in enumerate((b"NaN", b"Infinity", b"1e400")):
+            body = (
+                b'{"id": "n%d", "deltas": [["i", [0, 1], 1], ["i", [%s, 0], 1]]}'
+                % (i, literal)
+            )
+            status, __, data = client.request("POST", "/ingest", body=body)
+            assert status == 200, data
+        service = gateway.service
+        assert service.auditor.state.n_alive == 3
+        errors = [e["error"] for e in service.log.dead_letters()]
+        assert errors == [
+            "column 'a' has code nan at row 1, outside [0, 2)",
+            "column 'a' has code inf at row 2, outside [0, 2)",
+            "column 'a' has code inf at row 3, outside [0, 2)",
+        ]
+
     def test_missing_body_is_a_422(self, client):
         status, __, data = client.request("POST", "/ingest")
         assert status == 422

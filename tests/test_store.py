@@ -2,8 +2,8 @@
 
 Manifest round-trip and corruption detection, the registry lifecycle
 (materialize / list / verify / prune / leases), crash atomicity of the
-writer, copy-on-write shard reuse, StoreRef shipping, delta routing, and
-the ``repro data`` CLI verbs.  The sharded==in-memory equivalence
+writer, copy-on-write shard reuse, StoreRef shipping, single-row edit
+routing, and the ``repro data`` CLI verbs.  The sharded==in-memory equivalence
 *properties* live in tests/test_properties_store.py.
 """
 
@@ -16,6 +16,7 @@ import pytest
 
 from repro.cli import main
 from repro.data import Column, Dataset, Schema
+from repro.data.dataset import MemoryChunk
 from repro.data.store import (
     Registry,
     ShardedDataset,
@@ -41,7 +42,7 @@ from repro.data.store.format import (
     write_manifest,
 )
 from repro.data.store.registry import LEASE_DIR, TMP_PREFIX
-from repro.data.store.sharded import DiskShard, MemoryShard, RelabeledShard
+from repro.data.store.sharded import DiskShard
 from repro.data.synth import load_adult
 from repro.errors import (
     DataError,
@@ -51,7 +52,13 @@ from repro.errors import (
     StoreError,
 )
 from repro.experiments import sharded_region_counts
-from repro.resilience import BACKEND_PROCESS, CellExecutor
+from repro.resilience import (
+    BACKEND_PROCESS,
+    CellExecutor,
+    DatasetRef,
+    WorkerPool,
+    published_segments,
+)
 
 
 def small_dataset(n_rows: int = 23, seed: int = 7) -> Dataset:
@@ -286,14 +293,15 @@ class TestShardedSurface:
         sharded = ShardedDataset.open(
             store_of(tmp_path, small_dataset(n_rows=30), shard_rows=10)
         )
-        assert all(isinstance(s, DiskShard) for s in sharded._shards)
+        assert all(isinstance(s, DiskShard) for s in sharded._chunks)
         mask = np.ones(30, dtype=bool)
         mask[25:] = False  # drop rows only from the last shard
         out = sharded.take(mask)
         # untouched whole shards are the *same objects* — no bytes copied
-        assert out._shards[0] is sharded._shards[0]
-        assert out._shards[1] is sharded._shards[1]
-        assert isinstance(out._shards[2], MemoryShard)
+        assert out._chunks[0] is sharded._chunks[0]
+        assert out._chunks[1] is sharded._chunks[1]
+        assert isinstance(out._chunks[2], MemoryChunk)
+        assert isinstance(out, ShardedDataset) and out.path is None
         assert len(out) == 25
 
     def test_int_take_preserves_order_and_duplicates(self, tmp_path):
@@ -307,16 +315,20 @@ class TestShardedSurface:
 
     def test_with_labels_overlays_without_copying_columns(self, tmp_path):
         ds = small_dataset()
-        sharded = ShardedDataset.open(store_of(tmp_path, ds, shard_rows=10))
+        path = store_of(tmp_path, ds, shard_rows=10)
+        stamps = {p: p.stat().st_mtime_ns for p in path.rglob("*.npy")}
+        sharded = ShardedDataset.open(path)
         flipped = sharded.with_labels(1 - ds.y)
         assert np.array_equal(flipped.y, 1 - ds.y)
-        assert all(isinstance(s, RelabeledShard) for s in flipped._shards)
-        # double relabel collapses the overlay instead of nesting
+        # each shard keeps its own column files and only swaps labels
+        for old, new in zip(sharded._chunks, flipped._chunks):
+            assert isinstance(new, DiskShard) and new.directory == old.directory
+        # a double relabel replaces the labels instead of nesting
         again = flipped.with_labels(ds.y)
-        assert all(
-            isinstance(s.base, (DiskShard, MemoryShard))
-            for s in again._shards
-        )
+        for old, new in zip(sharded._chunks, again._chunks):
+            assert type(new) is DiskShard and new.directory == old.directory
+        assert np.array_equal(again.y, ds.y)
+        assert {p: p.stat().st_mtime_ns for p in path.rglob("*.npy")} == stamps
         with pytest.raises(DataError, match="labels must be binary 0/1"):
             sharded.with_labels(np.full(len(ds.y), 2))
 
@@ -336,40 +348,51 @@ class TestShardedSurface:
 
 
 class TestDeltaRouting:
+    """Single-row edits on a store — insert (``append_rows``), delete
+    (``drop``), relabel (``with_labels``) — touch only the owning shard."""
+
     def test_delta_results_match_dataset(self, tmp_path):
         ds = small_dataset(n_rows=30)
         sharded = ShardedDataset.open(store_of(tmp_path, ds, shard_rows=10))
-        for kind, kwargs in (
-            ("relabel", {"row": 17, "label": 1}),
-            ("delete", {"row": 4}),
-            ("insert", {"values": (1, 0, 0.5), "label": 0}),
+        flip = ds.y.copy()
+        flip[17] = 1 - flip[17]
+        row = Dataset(
+            ds.schema,
+            {"age": [1], "sex": [0], "score": [0.5]},
+            np.array([0]),
+            ds.protected,
+        )
+        for edit in (
+            lambda d: d.with_labels(flip),
+            lambda d: d.drop([4]),
+            lambda d: d.append_rows(row),
         ):
-            a, cell_a = ds.apply_delta(kind, **kwargs)
-            b, cell_b = sharded.apply_delta(kind, **kwargs)
-            assert cell_a["pattern"] == cell_b["pattern"]
-            assert np.array_equal(cell_a["dpos"], cell_b["dpos"])
-            assert np.array_equal(cell_a["dneg"], cell_b["dneg"])
+            a, b = edit(ds), edit(sharded)
             assert np.array_equal(a.y, b.y)
             for name in ds.schema.names:
                 assert np.array_equal(a.column(name), b.column(name))
+            for counts_a, counts_b in zip(
+                a.region_counts(ds.protected)[:2], b.region_counts(ds.protected)[:2]
+            ):
+                assert counts_a.tobytes() == counts_b.tobytes()
 
     def test_delete_touches_only_the_owning_shard(self, tmp_path):
         sharded = ShardedDataset.open(
             store_of(tmp_path, small_dataset(n_rows=30), shard_rows=10)
         )
-        out, __ = sharded.apply_delta("delete", row=15)
-        assert out._shards[0] is sharded._shards[0]
-        assert out._shards[2] is sharded._shards[2]
-        assert isinstance(out._shards[1], MemoryShard)
+        out = sharded.drop([15])
+        assert out._chunks[0] is sharded._chunks[0]
+        assert out._chunks[2] is sharded._chunks[2]
+        assert isinstance(out._chunks[1], MemoryChunk)
         assert len(out) == 29
 
     def test_row_errors_match_dataset_wording(self, tmp_path):
         ds = small_dataset()
         sharded = ShardedDataset.open(store_of(tmp_path, ds, shard_rows=10))
         with pytest.raises(DataError) as from_sharded:
-            sharded.apply_delta("delete", row=99)
+            sharded.drop([99])
         with pytest.raises(DataError) as from_dataset:
-            ds.apply_delta("delete", row=99)
+            ds.drop([99])
         assert str(from_sharded.value) == str(from_dataset.value)
 
 
@@ -501,6 +524,48 @@ class TestStoreRef:
         ref = ShardedDataset.open(path).store_ref()
         assert isinstance(ref, StoreRef)
         assert "StoreRef" in repr(ref) and ref.digest[:8] in repr(ref)
+
+
+def shipped_kinds(tmp_path):
+    ds = small_dataset()
+    opened = ShardedDataset.open(store_of(tmp_path, ds, shard_rows=10))
+    return {
+        "in-memory": ds,
+        "opened": opened,
+        "edited": opened.drop([0]),
+        "from_dataset": ShardedDataset.from_dataset(ds, shard_rows=10),
+    }
+
+
+class TestPoolShipping:
+    """``WorkerPool`` swaps dataset params for handles before shipping;
+    a ``ShardedDataset`` is a ``Dataset``, so it must be tested first."""
+
+    @pytest.mark.parametrize(
+        "kind", ["in-memory", "opened", "edited", "from_dataset"]
+    )
+    def test_each_dataset_kind_ships_by_its_handle(self, tmp_path, kind):
+        table = shipped_kinds(tmp_path)[kind]
+        before = dict(published_segments())
+        pool = WorkerPool(max_workers=1)
+        try:
+            if kind in ("edited", "from_dataset"):
+                # detached from the stored bytes: refused, never copied
+                # into shared memory
+                with pytest.raises(StoreError, match="opened from a store"):
+                    pool._swap_datasets({"data": table})
+                assert published_segments() == before
+                return
+            swapped = pool._swap_datasets({"data": table, "n": 3})
+            assert swapped["n"] == 3
+            if kind == "opened":
+                assert swapped["data"] == table.store_ref()
+                assert published_segments() == before
+            else:
+                assert isinstance(swapped["data"], DatasetRef)
+        finally:
+            pool.close()
+        assert published_segments() == before
 
 
 class TestShardFanout:

@@ -76,6 +76,36 @@ class TestQuarantine:
                 assert ["d", 99] not in record.payload["deltas"]
         service.close()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_categorical_code_is_quarantined(self, tmp_path, value):
+        service = StreamService.create(tmp_path / "s", make_config())
+        service.ingest(
+            [("b0", [insert(0, 1, 1), InsertDelta(values=(value, 0), label=1)])]
+        )
+        # The valid sibling applied; the poison insert is dead-lettered.
+        assert service.auditor.state.n_alive == 1
+        (entry,) = service.log.dead_letters()
+        assert entry["error"] == (
+            f"column 'a' has code {value!r} at row 1, outside [0, 2)"
+        )
+        service.close()
+
+    def test_overflowing_numeric_value_is_quarantined(self, tmp_path):
+        schema = Schema(
+            [
+                Column("a", "categorical", ("a0", "a1")),
+                Column("x", "numeric"),
+            ]
+        )
+        config = StreamConfig(schema=schema, protected=("a",), tau_c=0.1, k=2)
+        service = StreamService.create(tmp_path / "s", config)
+        huge = 10**400  # a JSON integer literal no float64 can hold
+        service.ingest([("b0", [InsertDelta(values=(0, huge), label=1)])])
+        assert service.auditor.state.n_alive == 0
+        (entry,) = service.log.dead_letters()
+        assert entry["error"].startswith("column 'x' has non-finite value 1000")
+        service.close()
+
     def test_retry_requeues_a_delta_that_became_valid(self, tmp_path):
         service = StreamService.create(tmp_path / "s", make_config())
         # Delete of row 1 arrives before row 1 exists: quarantined.
