@@ -16,18 +16,18 @@ lint:
 	PYTHONPATH=src python -m repro.analysis src/repro \
 		--baseline analysis-baseline.json --cache .analysis-cache.json
 
-# No baseline, no cache: the resilience / obs / serve subsystems must be
-# clean outright (inline `# repro: ignore[...]` suppressions only).  Run
-# by the CI chaos and serve-chaos stages.  R014 is excluded because
-# dead-export detection is meaningless on a subsystem slice — the
-# consumers live elsewhere; serve additionally carries R015/R016 (its
-# fetch tier must delegate store IO, and it is the only package allowed
-# raw sockets).
+# No baseline, no cache: the resilience / obs, data/store and serve
+# subsystems must be clean outright (inline `# repro: ignore[...]`
+# suppressions only), as the CI chaos, data-verify and serve-chaos stages
+# check.  Every rule runs but R014: dead-export detection is meaningless on
+# a subsystem slice, whose consumers live elsewhere.  Same list as
+# STRICT_RULES in scripts/ci.py.
+STRICT_RULES := R001,R002,R003,R004,R005,R006,R007,R008,R009,R010,R011,R012,R013,R015,R016
+
 lint-strict:
-	PYTHONPATH=src python -m repro.analysis src/repro/resilience src/repro/obs \
-		--rules R001,R002,R003,R004,R005,R006,R007,R008,R009,R010,R011,R012,R013
-	PYTHONPATH=src python -m repro.analysis src/repro/serve \
-		--rules R001,R002,R003,R004,R005,R006,R007,R008,R009,R010,R011,R012,R013,R015,R016
+	PYTHONPATH=src python -m repro.analysis src/repro/resilience src/repro/obs --rules $(STRICT_RULES)
+	PYTHONPATH=src python -m repro.analysis src/repro/data/store --rules $(STRICT_RULES)
+	PYTHONPATH=src python -m repro.analysis src/repro/serve --rules $(STRICT_RULES)
 
 ci:
 	PYTHONPATH=src python scripts/ci.py

@@ -3,34 +3,32 @@
 Runs the repository's quality gates in order, fail-fast::
 
     lint               tree hygiene (no tracked bytecode/cache junk), then
-                       static analysis (per-file R001-R008 + whole-program
-                       R009-R015) against the baseline, through the
-                       incremental cache (missing/corrupt cache = cold run);
-                       its wall time lands in the status table like every
-                       stage's
+                       static analysis (per-file R001-R008, R015, R016 +
+                       whole-program R009-R014) against the baseline,
+                       through the incremental cache (missing/corrupt
+                       cache = cold run); its wall time lands in the status
+                       table like every stage's
     tier1              fast pytest suite (slow-marked modules skipped)
     experiments-smoke  resilience smoke sweep over the experiment harnesses
-    chaos              strict no-baseline lint of the resilience/obs
-                       subsystems, then the process-backend sweep under
-                       crashes/hangs/driver kill
+    chaos              strict lint of the resilience/obs subsystems, then
+                       the process-backend sweep under crashes/hangs/driver
+                       kill
     stream-chaos       the streaming auditor's crash/hang/torn-tail drills:
                        every scenario must recover to a byte-identical
                        replay with no orphaned segments; then the hypothesis
                        property suite pinning every batch's re-score to a
                        scalar oracle and the end state to a from-scratch
                        audit
-    data-verify        the sharded dataset plane's gates: strict
-                       no-baseline lint of the store package (R015
-                       included), the data-chaos drills (bit flips, torn
-                       materialize, lease pinning), the hypothesis
+    data-verify        the sharded dataset plane's gates: strict lint of
+                       the store package, the data-chaos drills (bit
+                       flips, torn materialize, lease pinning), the hypothesis
                        property suite proving sharded == in-memory byte
                        for byte, then the engine and remedy oracles that
                        pin IBS and remedy output over the row store
                        (slow-marked, so tier1 skips them)
     serve-chaos        the audit gateway's process-level drills: strict
-                       no-baseline lint of the serve package (R015 and
-                       R016 included), then SIGKILL mid-ingest and
-                       mid-fetch, a remedy crash, and a SIGTERM drain —
+                       lint of the serve package, then SIGKILL mid-ingest
+                       and mid-fetch, a remedy crash, and a SIGTERM drain —
                        every drill must converge to a byte-identical
                        replay with zero acked-but-lost batches
     examples           every script in examples/ end to end
@@ -38,6 +36,9 @@ Runs the repository's quality gates in order, fail-fast::
                        every traced layer hook must still resolve in src/),
                        then fresh IBS + pool + stream + data + serve
                        benchmarks vs the committed baselines
+
+A strict lint runs ``STRICT_RULES`` over one subsystem slice with no
+baseline (inline suppressions only).
 
 Each stage runs as a subprocess with ``PYTHONPATH=src`` and is timed through
 a :mod:`repro.obs` span; the run ends with a per-stage status table and a
@@ -67,6 +68,17 @@ from repro.experiments.reporting import format_table  # noqa: E402
 from repro.obs import Tracer, tracing  # noqa: E402
 
 PYTHON = sys.executable
+
+#: Every rule but R014, whose dead-export check needs the consumers that
+#: live outside a slice.  The Makefile's ``STRICT_RULES`` is the same list.
+STRICT_RULES = (
+    "R001,R002,R003,R004,R005,R006,R007,R008,R009,R010,R011,R012,R013,R015,R016"
+)
+
+
+def strict_lint(*slices: str) -> list[str]:
+    """The no-baseline analyzer run over one subsystem slice."""
+    return [PYTHON, "-m", "repro.analysis", *slices, "--rules", STRICT_RULES]
 
 
 def stage_commands(
@@ -99,14 +111,8 @@ def stage_commands(
             "chaos",
             [
                 # Strict lint first: new resilience/obs code must be clean
-                # outright — no baseline, inline suppressions only.  R014
-                # is excluded (dead-export detection needs the consumers,
-                # which live outside the slice).
-                [PYTHON, "-m", "repro.analysis",
-                 "src/repro/resilience", "src/repro/obs",
-                 "--rules",
-                 "R001,R002,R003,R004,R005,R006,R007,R008,"
-                 "R009,R010,R011,R012,R013"],
+                # outright.
+                strict_lint("src/repro/resilience", "src/repro/obs"),
                 [PYTHON, "-m", "repro.resilience.chaos", "--workers", "2"],
             ],
         ),
@@ -125,13 +131,8 @@ def stage_commands(
             "data-verify",
             [
                 # Strict lint first: the store package must be clean
-                # outright, including R015 (no raw mmap loads or manifest
-                # writes may creep in anywhere, least of all here).  R014
-                # is excluded for the usual slice reason.
-                [PYTHON, "-m", "repro.analysis", "src/repro/data/store",
-                 "--rules",
-                 "R001,R002,R003,R004,R005,R006,R007,R008,"
-                 "R009,R010,R011,R012,R013,R015"],
+                # outright.
+                strict_lint("src/repro/data/store"),
                 # Bit flips, truncation, SIGKILLed materialize, lease
                 # pinning — the registry's loud-and-atomic contracts.
                 [PYTHON, "-m", "repro.data.chaos"],
@@ -149,16 +150,8 @@ def stage_commands(
             "serve-chaos",
             [
                 # Strict lint first: the serving front must be clean
-                # outright, including R015 (its fetch tier hands all store
-                # reads/writes to the store package) and R016 (it is the
-                # one place raw sockets are allowed — the rule checks the
-                # rest of the tree, this run proves the package itself
-                # carries no unrelated findings).  R014 is excluded for
-                # the usual slice reason.
-                [PYTHON, "-m", "repro.analysis", "src/repro/serve",
-                 "--rules",
-                 "R001,R002,R003,R004,R005,R006,R007,R008,"
-                 "R009,R010,R011,R012,R013,R015,R016"],
+                # outright.
+                strict_lint("src/repro/serve"),
                 # SIGKILL mid-ingest and mid-fetch, a remedy crash, and a
                 # SIGTERM drain — restart + client retry must converge to
                 # a byte-identical replay with zero acked-but-lost batches

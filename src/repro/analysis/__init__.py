@@ -3,10 +3,11 @@ contracts (see docs/static_analysis.md).
 
 Two tiers.  Per file: an AST-walking engine
 (:mod:`repro.analysis.engine`) dispatches each node to pluggable rules
-R001–R008 and R015 (forbidden imports, global-RNG usage, mutable
+R001–R008, R015 and R016 (forbidden imports, global-RNG usage, mutable
 defaults, bare asserts, public-API drift, set iteration, swallowed
-handlers, raw process primitives, raw shard/manifest I/O outside the
-sharded store).  Whole program: every file's extracted facts
+handlers, and three confinements: process primitives to the resilience
+package, shard/manifest I/O to the sharded store, network I/O to the
+serving front).  Whole program: every file's extracted facts
 assemble into a :class:`~repro.analysis.project.ProjectModel` (module
 graph, symbol table, approximate call graph) over which a purity
 fixpoint (:mod:`repro.analysis.purity`) drives rules R009–R014

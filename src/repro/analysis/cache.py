@@ -7,9 +7,11 @@ display path and guarded by
 
 * the file's content sha256 (edit -> miss; rename -> new key; delete ->
   entry dropped at save time because only files seen this run persist);
-* a **salt** over the cache schema version, the active rule ids, and the
+* a **salt** over the cache schema version, the active rule ids, the
   project's export surface — R005's per-file verdicts depend on every
-  ``__all__`` in the tree, so any export change invalidates everything.
+  ``__all__`` in the tree, so any export change invalidates everything —
+  and the analyzer's own source, so a rule that changes behaviour under
+  an unchanged id never reads findings its old version cached.
 
 Consumer reference sets (tests/examples/benchmarks/scripts token scans
 for R014) are cached the same way under a separate namespace.  Writes go
@@ -35,13 +37,22 @@ def file_sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def analyzer_fingerprint() -> str:
+    """sha256 over the ``repro.analysis`` package's ``.py`` files, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).resolve().parent.rglob("*.py")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def cache_salt(rule_ids: Sequence[str], exported_names: Sequence[str]) -> str:
-    """Salt binding entries to the rule set and project export surface."""
+    """Salt binding entries to the rule set, export surface and analyzer code."""
     blob = json.dumps(
         {
             "version": CACHE_VERSION,
             "rules": sorted(rule_ids),
             "exports": sorted(exported_names),
+            "analyzer": analyzer_fingerprint(),
         },
         sort_keys=True,
     )

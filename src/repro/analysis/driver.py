@@ -7,7 +7,8 @@ One call to :func:`analyze_project` runs the full pipeline:
    findings *and* extracted :class:`~repro.analysis.project.ModuleFacts`
    without re-parsing — a warm run re-parses nothing;
 2. cache misses are parsed once, walked by the per-file rules
-   (R001–R008, R015), and fact-extracted, then written back to the cache;
+   (R001–R008, R015, R016), and fact-extracted, then written back to
+   the cache;
 3. the facts are assembled into a :class:`ProjectModel`, the purity
    fixpoint (:mod:`repro.analysis.purity`) is computed, and the
    whole-program rules (R009–R014) run over the model;

@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -114,16 +115,72 @@ class FileContext:
         self.source = source
         self.lines = source.splitlines()
         self.project = project if project is not None else ProjectContext()
+        self._parts = Path(path).parts
 
     @property
     def is_package_init(self) -> bool:
         """True when the file under analysis is a package ``__init__.py``."""
         return Path(self.path).name == "__init__.py"
 
-    def in_subpackage(self, *names: str) -> bool:
-        """True when any path component matches one of ``names``."""
-        parts = set(Path(self.path).parts)
-        return any(name in parts for name in names)
+    def in_package(self, *parts: str) -> bool:
+        """True when ``parts`` occur as consecutive components of the path."""
+        n = len(parts)
+        return any(
+            self._parts[i: i + n] == parts
+            for i in range(len(self._parts) - n + 1)
+        )
+
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order, walked once."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def _bindings(self) -> dict[str, str]:
+        """Local name -> absolute dotted name, for every import in the file.
+
+        Every ``import`` and absolute ``from ... import`` anywhere in the
+        file counts, whatever its position; when a name is bound twice the
+        lexicographically first target wins, as in
+        :meth:`repro.analysis.project.ModuleFacts.binding`.  Relative
+        imports are skipped.
+        """
+        pairs: set[tuple[str, str]] = set()
+        for node in self.nodes:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        pairs.add((alias.asname, alias.name))
+                    else:
+                        head = alias.name.split(".")[0]
+                        pairs.add((head, head))
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                for alias in node.names:
+                    if alias.name != "*":
+                        target = f"{node.module}.{alias.name}"
+                        pairs.add((alias.asname or alias.name, target))
+        bindings: dict[str, str] = {}
+        for local, target in sorted(pairs):
+            bindings.setdefault(local, target)
+        return bindings
+
+    def resolve(self, node: ast.AST) -> str | None:
+        """The absolute dotted name a Name or Attribute chain refers to.
+
+        ``np.lib.format.open_memmap`` after ``import numpy as np`` resolves
+        to ``"numpy.lib.format.open_memmap"``; a chain whose root is not an
+        imported name resolves to None.
+        """
+        attrs: list[str] = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return None
+        root = self._bindings.get(node.id)
+        if root is None:
+            return None
+        return ".".join([root, *reversed(attrs)])
 
 
 class Rule:
@@ -228,7 +285,7 @@ class Analyzer:
         findings: list[Finding] = []
         for rule in self.rules:
             rule.begin_file(ctx)
-        for node in ast.walk(tree):
+        for node in ctx.nodes:
             for rule in self._dispatch.get(type(node), ()):
                 findings.extend(rule.visit(node, ctx))
         for rule in self.rules:

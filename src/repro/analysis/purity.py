@@ -29,11 +29,8 @@ from dataclasses import dataclass
 
 from repro.analysis.project import CallSite, ProjectModel
 
-#: numpy.random attributes that construct explicit seedable state.  Kept as
-#: a literal copy of rules.randomness.SEEDABLE_CONSTRUCTORS — importing the
-#: rules package from here would be circular (rules/__init__ imports the
-#: whole-program rules, which import this module); a test pins the two sets
-#: equal.
+#: numpy.random attributes that construct explicit, seedable state (R002
+#: imports this set too).
 SEEDABLE_CONSTRUCTORS = frozenset(
     {
         "default_rng",

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 from repro.analysis.rules.api import PublicApiContractRule
 from repro.analysis.rules.asserts import BareAssertRule
+from repro.analysis.rules.confinement import (
+    NetIoRule,
+    ProcessPrimitiveRule,
+    StoreIoRule,
+)
 from repro.analysis.rules.defaults import MutableDefaultRule
 from repro.analysis.rules.exceptions import BroadExceptRule
 from repro.analysis.rules.imports import SANCTIONED_PACKAGES, ForbiddenImportRule
 from repro.analysis.rules.iteration import RESULT_SUBPACKAGES, SetIterationRule
-from repro.analysis.rules.netio import SERVE_SUBPACKAGE, NetIoRule
-from repro.analysis.rules.processes import PROCESS_SUBPACKAGE, ProcessPrimitiveRule
 from repro.analysis.rules.randomness import SEEDABLE_CONSTRUCTORS, UnseededRandomnessRule
-from repro.analysis.rules.storeio import STORE_PACKAGE_PARTS, StoreIoRule
 from repro.analysis.rules.wholeprog import (
     CheckpointKeyStabilityRule,
     DeadExportRule,
@@ -89,9 +91,6 @@ __all__ = [
     "DeadExportRule",
     "StoreIoRule",
     "NetIoRule",
-    "STORE_PACKAGE_PARTS",
-    "SERVE_SUBPACKAGE",
-    "PROCESS_SUBPACKAGE",
     "SANCTIONED_PACKAGES",
     "SEEDABLE_CONSTRUCTORS",
     "RESULT_SUBPACKAGES",

@@ -5,15 +5,14 @@ networkx + the standard library.  Anything else (pandas, sklearn, torch,
 requests, ...) silently changes numerical behaviour between environments
 and breaks the "runs anywhere the paper's maths runs" guarantee, so any
 import whose top-level package is neither stdlib nor sanctioned is flagged.
-Per-file exceptions can be granted via ``extra_allowed`` (path suffix ->
-allowed top-level packages).
+An inline ``# repro: ignore[R001]`` is the per-file escape.
 """
 
 from __future__ import annotations
 
 import ast
 import sys
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.analysis.engine import FileContext, Finding, Rule, SEVERITY_ERROR
 
@@ -34,38 +33,15 @@ class ForbiddenImportRule(Rule):
     severity = SEVERITY_ERROR
     interests = (ast.Import, ast.ImportFrom)
 
-    def __init__(
-        self,
-        allowed: frozenset[str] = SANCTIONED_PACKAGES,
-        extra_allowed: Mapping[str, frozenset[str]] | None = None,
-    ) -> None:
-        self.allowed = frozenset(allowed)
-        self.extra_allowed = dict(extra_allowed or {})
-
-    def _allowed_for(self, ctx: FileContext) -> frozenset[str]:
-        extras: set[str] = set()
-        for suffix, packages in self.extra_allowed.items():
-            if ctx.path.endswith(suffix):
-                extras.update(packages)
-        return self.allowed | extras
-
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterable[Finding]:
-        allowed = self._allowed_for(ctx)
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                top = alias.name.split(".")[0]
-                if top not in _STDLIB and top not in allowed:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"import of {top!r} is outside the sanctioned "
-                        f"dependency envelope",
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:  # relative import stays inside the package
-                return
-            top = (node.module or "").split(".")[0]
-            if top and top not in _STDLIB and top not in allowed:
+            tops = [alias.name.split(".")[0] for alias in node.names]
+        elif node.level:  # relative import stays inside the package
+            return
+        else:
+            tops = [(node.module or "").split(".")[0]]
+        for top in tops:
+            if top and top not in _STDLIB and top not in SANCTIONED_PACKAGES:
                 yield self.finding(
                     ctx,
                     node,

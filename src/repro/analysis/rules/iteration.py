@@ -32,11 +32,8 @@ class SetIterationRule(Rule):
     severity = SEVERITY_WARNING
     interests = (ast.For, ast.AsyncFor, ast.comprehension)
 
-    def __init__(self, subpackages: tuple[str, ...] = RESULT_SUBPACKAGES) -> None:
-        self.subpackages = tuple(subpackages)
-
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterable[Finding]:
-        if not ctx.in_subpackage(*self.subpackages):
+        if not any(ctx.in_package(name) for name in RESULT_SUBPACKAGES):
             return
         iterable = node.iter  # type: ignore[union-attr]
         if _is_set_expression(iterable):

@@ -16,21 +16,7 @@ import ast
 from typing import Iterable
 
 from repro.analysis.engine import FileContext, Finding, Rule, SEVERITY_ERROR
-
-#: Attributes of ``numpy.random`` that construct explicit, seedable state.
-SEEDABLE_CONSTRUCTORS = frozenset(
-    {
-        "default_rng",
-        "Generator",
-        "SeedSequence",
-        "BitGenerator",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "SFC64",
-        "MT19937",
-    }
-)
+from repro.analysis.purity import SEEDABLE_CONSTRUCTORS
 
 
 class UnseededRandomnessRule(Rule):
@@ -42,35 +28,13 @@ class UnseededRandomnessRule(Rule):
         "Generator, never global RNG state"
     )
     severity = SEVERITY_ERROR
-    interests = (ast.Import, ast.ImportFrom, ast.Call)
-
-    def begin_file(self, ctx: FileContext) -> None:
-        """Reset the per-file alias tables."""
-        self._numpy_aliases: set[str] = set()
-        self._numpy_random_aliases: set[str] = set()
-        self._stdlib_random_aliases: set[str] = set()
+    interests = (ast.ImportFrom, ast.Call)
 
     def visit(self, node: ast.AST, ctx: FileContext) -> Iterable[Finding]:
-        if isinstance(node, ast.Import):
-            yield from self._visit_import(node, ctx)
-        elif isinstance(node, ast.ImportFrom):
+        if isinstance(node, ast.ImportFrom):
             yield from self._visit_import_from(node, ctx)
-        elif isinstance(node, ast.Call):
-            yield from self._visit_call(node, ctx)
-
-    def _visit_import(self, node: ast.Import, ctx: FileContext) -> Iterable[Finding]:
-        for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
-            if alias.name == "numpy":
-                self._numpy_aliases.add(bound)
-            elif alias.name == "numpy.random":
-                if alias.asname:
-                    self._numpy_random_aliases.add(alias.asname)
-                else:
-                    self._numpy_aliases.add("numpy")
-            elif alias.name == "random":
-                self._stdlib_random_aliases.add(bound)
-        return ()
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            yield from self._visit_call(node, node.func, ctx)
 
     def _visit_import_from(
         self, node: ast.ImportFrom, ctx: FileContext
@@ -93,50 +57,27 @@ class UnseededRandomnessRule(Rule):
                         f"numpy.random.{alias.name} uses the legacy global "
                         f"RNG; use np.random.default_rng(seed) instead",
                     )
-        elif node.module == "numpy":
-            for alias in node.names:
-                if alias.name == "random":
-                    self._numpy_random_aliases.add(alias.asname or "random")
 
-    def _visit_call(self, node: ast.Call, ctx: FileContext) -> Iterable[Finding]:
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
+    def _visit_call(
+        self, node: ast.Call, func: ast.Attribute, ctx: FileContext
+    ) -> Iterable[Finding]:
+        owner = ctx.resolve(func.value)
         attr = func.attr
-        value = func.value
-        # np.random.<fn>(...) — three-deep attribute chain.
-        if (
-            isinstance(value, ast.Attribute)
-            and value.attr == "random"
-            and isinstance(value.value, ast.Name)
-            and value.value.id in self._numpy_aliases
-        ):
-            yield from self._check_numpy_attr(node, attr, ctx)
-        # npr.<fn>(...) where npr aliases numpy.random.
-        elif isinstance(value, ast.Name) and value.id in self._numpy_random_aliases:
-            yield from self._check_numpy_attr(node, attr, ctx)
-        # random.<fn>(...) on the stdlib module.
-        elif isinstance(value, ast.Name) and value.id in self._stdlib_random_aliases:
+        if owner == "random":
             yield self.finding(
                 ctx,
                 node,
                 f"stdlib random.{attr} uses global RNG state; use "
                 f"np.random.default_rng(seed) instead",
             )
-
-    def _check_numpy_attr(
-        self, node: ast.Call, attr: str, ctx: FileContext
-    ) -> Iterable[Finding]:
-        if attr in SEEDABLE_CONSTRUCTORS:
-            return
-        if attr == "seed":
+        elif owner == "numpy.random" and attr == "seed":
             yield self.finding(
                 ctx,
                 node,
                 "np.random.seed mutates global RNG state; construct "
                 "np.random.default_rng(seed) instead",
             )
-        else:
+        elif owner == "numpy.random" and attr not in SEEDABLE_CONSTRUCTORS:
             yield self.finding(
                 ctx,
                 node,

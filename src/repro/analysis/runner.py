@@ -55,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.analysis",
         description=(
             "AST-based static analysis enforcing the repo's determinism, "
-            "dependency and API contracts (per-file R001-R008 and R015 "
-            "plus whole-program R009-R014)"
+            "dependency and API contracts (per-file R001-R008, R015 and "
+            "R016 plus whole-program R009-R014)"
         ),
     )
     parser.add_argument(

@@ -27,14 +27,28 @@ from repro.errors import DataError, SchemaError
 LABEL_COLUMN = "label"
 
 
+def fsync_dir(path: str | Path) -> None:
+    """fsync the directory ``path``, making a rename or new entry in it durable.
+
+    A file's own fsync covers its bytes, not the directory entry that names
+    it; without this a power cut can undo a rename that already returned.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
 
     The content is first written to a temporary file in the same directory
     (so the rename never crosses a filesystem boundary), fsynced, then moved
-    over ``path`` in one atomic step.  A process killed mid-write therefore
-    leaves either the old file or the new one — never a truncated mix.
-    Checkpoints, baselines, schemas and audit trails all go through here.
+    over ``path`` in one atomic step, and the directory is fsynced.  A
+    process killed mid-write therefore leaves either the old file or the
+    new one — never a truncated mix.  Checkpoints, baselines, schemas and
+    audit trails all go through here.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
@@ -46,6 +60,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_name, path)
+        fsync_dir(path.parent)
     finally:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)

@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.data.io import fsync_dir
 from repro.data.store.format import (
     LABELS_FILE,
     MANIFEST_NAME,
@@ -113,7 +114,8 @@ def write_store(
     Each chunk becomes exactly one shard.  All chunks must share the first
     chunk's schema and protected set.  Returns the manifest.  The write is
     crash-safe: files land in a ``.tmp-*`` sibling, the manifest is written
-    last, and the directory is renamed into place atomically.
+    last, and the directory is renamed into place atomically, then its
+    parent is fsynced so the rename survives a power cut.
     """
     _require_shard_rows(shard_rows)
     path = Path(path)
@@ -171,6 +173,7 @@ def write_store(
     if overwrite and path.exists():
         shutil.rmtree(path)
     os.rename(tmp, path)
+    fsync_dir(path.parent)
     return manifest
 
 

@@ -30,17 +30,19 @@ can genuinely die or wedge:
 Both are *worker actions*: under the in-process backend they are inert
 (the driver must never kill itself), and the executor ships them to the
 worker as small JSON-safe descriptors via
-:meth:`FaultPlan.worker_action`.
+:meth:`FaultPlan.worker_action`, which :func:`execute_chaos_action` runs.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import ResilienceError
+from repro.errors import InternalError, ResilienceError
 
 
 class InjectedFault(ResilienceError):
@@ -126,6 +128,24 @@ CRASH_MODES = (CRASH_EXIT, CRASH_SIGKILL)
 
 #: Exit code used by ``CrashFault(mode="exit")`` so tests can assert on it.
 CRASH_EXIT_CODE = 23
+
+
+def execute_chaos_action(action: Mapping[str, object]) -> None:
+    """Run one chaos descriptor against the current process.
+
+    Crash descriptors never return; hang descriptors sleep, so the parent's
+    hard-kill (or an external killer) lands deterministically.  Pool
+    workers and the stream chaos hook both execute descriptors here.
+    """
+    kind = action.get("kind")
+    if kind == CHAOS_CRASH:
+        if action.get("mode") == CRASH_SIGKILL:
+            os.kill(os.getpid(), signal.SIGKILL)
+        os._exit(CRASH_EXIT_CODE)
+    if kind == CHAOS_HANG:
+        time.sleep(float(action["seconds"]))
+        return
+    raise InternalError(f"unknown chaos descriptor: {action!r}")
 
 
 class CrashFault(Fault):

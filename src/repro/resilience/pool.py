@@ -80,13 +80,7 @@ from repro.resilience.executor import (
     Key,
     RetryPolicy,
 )
-from repro.resilience.faults import (
-    CHAOS_CRASH,
-    CHAOS_HANG,
-    CRASH_EXIT_CODE,
-    CRASH_SIGKILL,
-    FaultPlan,
-)
+from repro.resilience.faults import FaultPlan, execute_chaos_action
 from repro.resilience.shm import (
     DatasetRef,
     detach_all,
@@ -188,21 +182,6 @@ class CellSpec:
 # -- worker side -------------------------------------------------------------
 
 
-def _apply_chaos(action: Mapping[str, object]) -> None:
-    """Execute an injected chaos descriptor inside the worker."""
-    import os
-
-    kind = action.get("kind")
-    if kind == CHAOS_CRASH:
-        if action.get("mode") == CRASH_SIGKILL:
-            os.kill(os.getpid(), signal.SIGKILL)
-        os._exit(CRASH_EXIT_CODE)
-    if kind == CHAOS_HANG:
-        time.sleep(float(action["seconds"]))
-        return
-    raise InternalError(f"unknown chaos descriptor: {action!r}")
-
-
 def _classify(exc: BaseException) -> str:
     """Map a worker-side exception onto a retryability kind."""
     if isinstance(exc, CellTimeout):
@@ -228,7 +207,7 @@ def _run_task(task: Mapping[str, object]) -> dict:
     try:
         chaos = task.get("chaos")
         if chaos is not None:
-            _apply_chaos(chaos)
+            execute_chaos_action(chaos)
         if tracer is not None:
             with obs.tracing(tracer):
                 value = _invoke_cell(task)

@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro import errors
+from repro.data.io import fsync_dir
 from repro.data.store.format import (
     file_sha256,
     manifest_digest,
@@ -224,8 +225,9 @@ class GatewayClient:
         Same install discipline as the registry's own writer: bytes land
         in a ``.tmp-*`` sibling, each file is verified against the
         manifest's sha256 on arrival, the manifest is written **last**,
-        and only a fully verified tree is renamed into place.  A local
-        copy already at the remote manifest digest short-circuits.
+        and only a fully verified tree is renamed into place, with
+        ``dest_root`` fsynced after.  A local copy already at the remote
+        manifest digest short-circuits.
         """
         dest_root = Path(dest_root)
         dest_root.mkdir(parents=True, exist_ok=True)
@@ -256,6 +258,7 @@ class GatewayClient:
             if final.is_dir():
                 shutil.rmtree(final)  # digest mismatch: replace the stale copy
             os.rename(tmp, final)
+            fsync_dir(dest_root)
         verify_store(final)
         obs.count("serve.fetch_bytes", nbytes)
         return final

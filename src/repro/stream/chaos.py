@@ -49,13 +49,12 @@ import numpy as np
 from repro.data.io import atomic_write_json
 from repro.errors import InternalError
 from repro.resilience.faults import (
-    CHAOS_CRASH,
-    CHAOS_HANG,
     CRASH_EXIT,
     CRASH_EXIT_CODE,
     CRASH_SIGKILL,
     CrashFault,
     HangFault,
+    execute_chaos_action,
 )
 from repro.stream.journal import _SEGMENT_RE, CURRENT_FILE
 
@@ -67,23 +66,6 @@ DELTAS_PER_BATCH = 50
 #: Batch the chaos plans arm; mid-stream so both sides are non-trivial.
 VICTIM_BATCH = "b0020"
 CHAOS_TIMEOUT = 120.0
-
-
-def execute_chaos_action(action: dict) -> None:
-    """Run one worker-action descriptor against the current process.
-
-    Mirrors the process pool's executor: crash descriptors never return,
-    hang descriptors sleep (so an external killer can land deterministically).
-    """
-    kind = action.get("kind")
-    if kind == CHAOS_CRASH:
-        if action.get("mode") == CRASH_SIGKILL:
-            os.kill(os.getpid(), signal.SIGKILL)
-        os._exit(CRASH_EXIT_CODE)
-    if kind == CHAOS_HANG:
-        time.sleep(float(action["seconds"]))
-        return
-    raise InternalError(f"unknown stream chaos action {action!r}")
 
 
 def chaos_hook_from_env() -> Callable[[str, str], None] | None:

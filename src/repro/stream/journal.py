@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.data.io import atomic_write_json
+from repro.data.io import atomic_write_json, fsync_dir
 from repro.data.schema import Schema
 from repro.data.schema_io import schema_from_dict, schema_to_dict
 from repro.errors import JournalError, StreamError
@@ -482,6 +482,7 @@ class DeltaLog:
         path = self._segment_path(first_seq)
         self._segments.append(path)
         self._handle = open(path, "ab")
+        fsync_dir(path.parent)
 
     def _close_handle(self) -> None:
         if self._handle is not None:

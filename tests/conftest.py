@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import stat
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,6 +59,33 @@ def biased_dataset() -> Dataset:
     p = np.where((a == 0) & (b == 0), 0.9, 0.3)
     y = (rng.random(n) < p).astype(int)
     return Dataset(schema, {"a": a, "b": b}, y, protected=("a", "b"))
+
+
+@pytest.fixture
+def dir_fsynced(monkeypatch):
+    """Record every directory ``os.fsync`` with the entries it held then.
+
+    Returns ``check(path)``: True when ``path``'s parent directory was
+    fsynced at a moment ``path`` already existed in it, i.e. after the
+    rename or file creation that published ``path``.
+    """
+    synced: list[tuple[int, frozenset[str]]] = []
+    real_fsync = os.fsync
+
+    def fsync(fd: int) -> None:
+        real_fsync(fd)
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            synced.append((info.st_ino, frozenset(os.listdir(fd))))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+
+    def check(path) -> bool:
+        path = Path(path)
+        parent = os.stat(path.parent).st_ino
+        return any(ino == parent and path.name in names for ino, names in synced)
+
+    return check
 
 
 @pytest.fixture(scope="session")

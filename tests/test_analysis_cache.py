@@ -3,10 +3,12 @@ on edit, rename, delete, export change, and corruption."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 from repro.analysis import analyze_project, cache_salt, default_rules, file_sha256
+from repro.analysis import cache as cache_module
 
 
 def make_project(root: Path) -> Path:
@@ -96,6 +98,17 @@ class TestInvalidation:
         assert after.stats.cache_hits == 0
         assert after.stats.cache_misses == 3
 
+    def test_analyzer_change_invalidates_everything(self, tmp_path, monkeypatch):
+        # The salt covers the analyzer's own source: a rule whose behaviour
+        # changes under an unchanged id must not be served stale findings.
+        pkg = make_project(tmp_path)
+        cache = tmp_path / "cache.json"
+        analyze(pkg, cache)
+        monkeypatch.setattr(cache_module, "analyzer_fingerprint", lambda: "edited")
+        after = analyze(pkg, cache)
+        assert after.stats.cache_hits == 0
+        assert after.stats.cache_misses == 3
+
     def test_corrupt_cache_falls_back_to_cold(self, tmp_path):
         pkg = make_project(tmp_path)
         cache = tmp_path / "cache.json"
@@ -115,6 +128,13 @@ class TestSalt:
         assert base == cache_salt(("R001",), ("a",))
         assert base != cache_salt(("R001", "R002"), ("a",))
         assert base != cache_salt(("R001",), ("a", "b"))
+
+    def test_analyzer_fingerprint_hashes_the_package_source(self):
+        package = Path(cache_module.__file__).resolve().parent
+        digest = hashlib.sha256()
+        for path in sorted(package.rglob("*.py")):
+            digest.update(path.read_bytes())
+        assert cache_module.analyzer_fingerprint() == digest.hexdigest()
 
     def test_file_sha_tracks_content(self, tmp_path):
         f = tmp_path / "x.py"

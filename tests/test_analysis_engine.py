@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     Analyzer,
+    FileContext,
     Finding,
     PARSE_ERROR_ID,
     ProjectContext,
@@ -91,6 +92,42 @@ class TestEngine:
         assert module_all(tree) == ["a", "b"]
         assert module_all(ast.parse("x = 1\n")) is None
         assert module_all(ast.parse("__all__ = [n for n in ()]\n")) is None
+
+
+class TestResolve:
+    def resolve_all(self, src):
+        tree = ast.parse(src)
+        ctx = FileContext("mod.py", tree, src)
+        uses = [n for n in ast.walk(tree) if isinstance(n, ast.Expr)]
+        return [ctx.resolve(n.value) for n in uses]
+
+    def test_every_import_form_binds_an_absolute_name(self):
+        src = (
+            "import numpy as np\n"
+            "import os.path\n"
+            "from multiprocessing import shared_memory as sm\n"
+            "from . import sibling\n"
+            "np.lib.format.open_memmap\n"
+            "os.path.join\n"
+            "sm.SharedMemory\n"
+            "sibling.f\n"
+            "local.attr\n"
+        )
+        assert self.resolve_all(src) == [
+            "numpy.lib.format.open_memmap",
+            "os.path.join",
+            "multiprocessing.shared_memory.SharedMemory",
+            None,  # relative imports are not resolved
+            None,
+        ]
+
+    def test_import_order_does_not_matter(self):
+        src = "def f():\n    return 0\nload\nfrom numpy import load\n"
+        assert self.resolve_all(src) == ["numpy.load"]
+
+    def test_first_binding_of_a_name_wins(self):
+        src = "import random\nfrom numpy import random\nrandom.rand\n"
+        assert self.resolve_all(src) == ["numpy.random.rand"]
 
 
 class TestSuppression:

@@ -135,16 +135,6 @@ class TestPurity:
         assert purity.has_fact("miniproj.cells:mutating_cell", FACT_GLOBAL)
         assert purity.has_fact("miniproj.lib:record", FACT_TRACER)
 
-    def test_seedable_constructors_stay_in_sync_with_r002(self):
-        # purity.py keeps a literal copy (importing the rules package
-        # from there would be circular); this pins the two sets equal.
-        from repro.analysis.purity import SEEDABLE_CONSTRUCTORS as purity_set
-        from repro.analysis.rules.randomness import (
-            SEEDABLE_CONSTRUCTORS as rule_set,
-        )
-
-        assert purity_set == rule_set
-
     def test_classify_external_table(self):
         assert classify_external("random.random") == FACT_RNG
         assert classify_external("numpy.random.rand") == FACT_RNG

@@ -9,10 +9,8 @@ import pytest
 
 from repro.analysis import (
     Analyzer,
-    ForbiddenImportRule,
     ProjectContext,
     RULE_IDS,
-    SetIterationRule,
     default_rules,
 )
 
@@ -39,13 +37,6 @@ class TestR001ForbiddenImports:
 
     def test_silent_on_clean(self):
         assert run_rule("R001", "r001_clean.py") == []
-
-    def test_per_file_allowlist(self):
-        rule = ForbiddenImportRule(
-            extra_allowed={"r001_violation.py": frozenset({"pandas", "torch", "sklearn"})}
-        )
-        analyzer = Analyzer([rule])
-        assert analyzer.analyze_file(FIXTURES / "r001_violation.py") == []
 
     def test_relative_imports_allowed(self):
         analyzer = Analyzer(default_rules(("R001",)))
@@ -155,12 +146,6 @@ class TestR006SetIteration:
     def test_silent_outside_result_paths(self):
         assert run_rule("R006", "r006_outside_core.py") == []
 
-    def test_configurable_subpackages(self):
-        rule = SetIterationRule(subpackages=("fixtures",))
-        analyzer = Analyzer([rule])
-        findings = analyzer.analyze_file(FIXTURES / "r006_outside_core.py")
-        assert len(findings) == 1
-
 
 class TestR007BroadExcept:
     def test_fires_on_violation(self):
@@ -184,7 +169,7 @@ class TestR007BroadExcept:
 class TestR008ProcessPrimitives:
     def test_fires_on_violation(self):
         findings = run_rule("R008", "r008_violation.py")
-        assert len(findings) == 10
+        assert len(findings) == 11
         assert rule_ids(findings) == {"R008"}
         assert any("signal.alarm" in f.message for f in findings)
         assert any("signal.setitimer" in f.message for f in findings)
@@ -218,7 +203,8 @@ class TestR008ProcessPrimitives:
             "import multiprocessing.shared_memory as sm\n"
             "seg = sm.SharedMemory(name='x')\n"
         )
-        assert len(analyzer.analyze_source(aliased)) == 1
+        # The aliased import and its use are one finding each.
+        assert len(analyzer.analyze_source(aliased)) == 2
         direct = "from multiprocessing import shared_memory\n"
         assert len(analyzer.analyze_source(direct)) == 1
         submodule = (
@@ -263,6 +249,24 @@ class TestR015StoreIo:
             analyzer.analyze_source(src, path="src/other/store/x.py") != []
         )
 
+    def test_from_import_of_load_is_resolved(self):
+        analyzer = Analyzer(default_rules(("R015",)))
+        src = "from numpy import load\na = load('s.npy', mmap_mode='r')\n"
+        findings = analyzer.analyze_source(src, path="src/repro/data/x.py")
+        assert [(f.line, f.rule_id) for f in findings] == [(2, "R015")]
+        assert "numpy.load with mmap_mode" in findings[0].message
+
+    def test_numpy_memmap_is_reserved(self):
+        analyzer = Analyzer(default_rules(("R015",)))
+        src = "import numpy as np\na = np.memmap('s.dat')\n"
+        findings = analyzer.analyze_source(src, path="src/repro/data/x.py")
+        assert [(f.line, f.rule_id) for f in findings] == [(2, "R015")]
+        assert "numpy.memmap" in findings[0].message
+        assert (
+            analyzer.analyze_source(src, path="src/repro/data/store/x.py")
+            == []
+        )
+
     def test_manifest_literal_must_match_exactly(self):
         analyzer = Analyzer(default_rules(("R015",)))
         assert analyzer.analyze_source("p = d / 'manifest.json'\n") != []
@@ -298,6 +302,15 @@ class TestR016NetIo:
         src = "import socket\n"
         assert analyzer.analyze_source(src, path="src/repro/stream/x.py") != []
         assert analyzer.analyze_source(src, path="src/repro/serve/x.py") == []
+
+    def test_submodule_import_binds_its_package_for_uses(self):
+        # ``import http.client`` binds ``http``, so the use is caught too,
+        # with or without a bare ``import http`` in the same file.
+        analyzer = Analyzer(default_rules(("R016",)))
+        src = "import http.client\nc = http.client.HTTPConnection('h')\n"
+        findings = analyzer.analyze_source(src)
+        assert [f.line for f in findings] == [1, 2]
+        assert "use of http.client" in findings[1].message
 
     def test_non_wire_http_members_are_legal(self):
         analyzer = Analyzer(default_rules(("R016",)))

@@ -4,6 +4,7 @@ must carry a written justification."""
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -66,17 +67,31 @@ def test_every_baseline_entry_is_justified():
         assert (REPO / entry.path).exists(), f"baseline file vanished: {entry.path}"
 
 
+def _strict_rules() -> str:
+    """``STRICT_RULES`` from scripts/ci.py, the strict lint's one rule list."""
+    spec = importlib.util.spec_from_file_location("ci", REPO / "scripts" / "ci.py")
+    ci = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ci)
+    return ci.STRICT_RULES
+
+
 def test_strict_subsystem_slice_is_clean():
-    """The chaos-stage contract: resilience/obs carry zero findings with
-    no baseline at all (inline suppressions only; R014 needs consumers
-    outside the slice, so it is excluded)."""
-    rules = default_rules(tuple(f"R{n:03d}" for n in range(1, 14)))
-    outcome = analyze_project(
-        [SRC / "resilience", SRC / "obs"], rules
-    )
-    assert outcome.findings == (), "\n".join(
-        f.format() for f in outcome.findings
-    )
+    """The chaos, data-verify and serve-chaos contract: each slice carries
+    zero findings under the strict rule list with no baseline at all
+    (inline suppressions only)."""
+    rules = default_rules(tuple(_strict_rules().split(",")))
+    for slice_ in (
+        [SRC / "resilience", SRC / "obs"], [SRC / "data" / "store"], [SRC / "serve"]
+    ):
+        outcome = analyze_project(slice_, rules)
+        assert outcome.findings == (), "\n".join(
+            f.format() for f in outcome.findings
+        )
+
+
+def test_makefile_lints_with_the_same_strict_rules():
+    makefile = (REPO / "Makefile").read_text()
+    assert f"STRICT_RULES := {_strict_rules()}\n" in makefile
 
 
 def test_warm_cache_is_fast_and_byte_identical(tmp_path):

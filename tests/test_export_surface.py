@@ -23,8 +23,6 @@ from repro.analysis.rules import (
     BroadExceptRule,
     NetIoRule,
     ProcessPrimitiveRule,
-    SERVE_SUBPACKAGE,
-    STORE_PACKAGE_PARTS,
     StoreIoRule,
 )
 from repro.data.synth import (
@@ -69,8 +67,8 @@ class TestRuleRegistry:
         assert RULE_CLASSES[-1] is NetIoRule
         assert not getattr(StoreIoRule, "whole_program", False)
         assert not getattr(NetIoRule, "whole_program", False)
-        assert STORE_PACKAGE_PARTS == ("data", "store")
-        assert SERVE_SUBPACKAGE == "serve"
+        assert StoreIoRule.package == ("data", "store")
+        assert NetIoRule.package == ("serve",)
 
     def test_every_rule_uses_a_known_severity(self):
         assert SEVERITIES == ("error", "warning")

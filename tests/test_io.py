@@ -140,6 +140,11 @@ class TestAtomicWrite:
         assert path.read_text() == "precious"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_directory_is_fsynced_after_the_replace(self, tmp_path, dir_fsynced):
+        path = tmp_path / "out.txt"
+        atomic_write_text(path, "hello\n")
+        assert dir_fsynced(path)
+
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "out.json"
         payload = {"b": [1, 2], "a": {"nested": True}}

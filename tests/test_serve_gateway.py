@@ -354,6 +354,12 @@ class TestFetchTier:
         # No .tmp-* droppings left behind.
         assert not list(dest.parent.glob(".tmp-*"))
 
+    def test_fetch_fsyncs_the_destination_after_the_rename(
+        self, registry_client, tmp_path, dir_fsynced
+    ):
+        dest = registry_client.fetch_dataset("compas", tmp_path / "local")
+        assert dir_fsynced(dest)
+
     def test_refetch_at_same_digest_is_skipped(
         self, registry_client, tmp_path
     ):

@@ -212,6 +212,11 @@ class TestWriter:
         write_store(path, iter_chunks(ds, 5), 5, overwrite=True)
         assert read_manifest(path)["shard_rows"] == 5
 
+    def test_parent_is_fsynced_after_the_rename(self, tmp_path, dir_fsynced):
+        path = tmp_path / "store"
+        write_store(path, iter_chunks(small_dataset(), 10), 10)
+        assert dir_fsynced(path)
+
     def test_refuses_zero_chunks(self, tmp_path):
         with pytest.raises(StoreError, match="zero chunks"):
             write_store(tmp_path / "empty", iter([]), 10)

@@ -75,6 +75,19 @@ class TestAppendAndScan:
         # Re-open must replay across the rotation boundary seamlessly.
         assert DeltaLog.open(tmp_path / "s").n_batches == 12
 
+    def test_every_new_segment_is_fsynced_into_its_directory(
+        self, tmp_path, config, dir_fsynced
+    ):
+        small = StreamConfig(
+            schema=config.schema, protected=config.protected, segment_bytes=600
+        )
+        log = DeltaLog.create(tmp_path / "s", small)
+        fill(log, 12)
+        log.close()
+        files = segments(tmp_path / "s")
+        assert len(files) > 1
+        assert all(dir_fsynced(path) for path in files)
+
     def test_records_stream_in_seq_order(self, tmp_path, config):
         log = DeltaLog.create(tmp_path / "s", config)
         fill(log, 4)
