@@ -24,7 +24,8 @@ Runs the repository's quality gates in order, fail-fast::
                        flips, torn materialize, lease pinning), the hypothesis
                        property suite proving sharded == in-memory byte
                        for byte, then the engine and remedy oracles that
-                       pin IBS and remedy output over the row store
+                       pin IBS output over the row store and pin remedy
+                       output to the per-region reference loop
                        (slow-marked, so tier1 skips them)
     serve-chaos        the audit gateway's process-level drills: strict
                        lint of the serve package, then SIGKILL mid-ingest

@@ -16,9 +16,10 @@ Two cost-relevant properties (see ``docs/performance.md``):
   leaf array for every one of the ``2^d`` nodes; the per-node cost decays
   geometrically with the level instead of staying at ``O(leaf cells)``.
 * **Incremental updates**: :meth:`Hierarchy.apply_count_delta` folds a
-  leaf-granular count change confined to one region's slice into every node
-  in place, so the remedy loop can keep one hierarchy current across
-  iterations instead of rebuilding it from scratch after every update.
+  leaf-granular count change into every node in place, touching only the
+  changed cells, so the remedy loop (once per node plan) and the stream
+  auditor (once per batch) keep one hierarchy current instead of
+  rebuilding it from scratch after every edit.
 """
 
 from __future__ import annotations
@@ -330,16 +331,30 @@ class Hierarchy:
         outside the pattern's slice must be unchanged — which is exactly the
         contract the remedy samplers satisfy, since every row they add,
         drop, or flip matches the remedied region's pattern.  Every stored
-        node is updated in place by marginalising the delta onto the node's
-        axes and adding it at the pattern's fixed coordinates, leaving the
-        hierarchy equal to one freshly built from the edited dataset.
+        node is updated in place, leaving the hierarchy equal to one freshly
+        built from the edited dataset.
+
+        The fold touches only the delta's non-zero cells: their coordinates
+        are projected onto each node and scattered with ``np.add.at``, so a
+        call costs O(changed cells × nodes), not O(leaf cells × nodes).  A
+        remedy node plan changes ~0.5% of the 57,600 cells of the Adult
+        leaf; a stream batch over a small leaf may change most of them, and
+        there the scatter is still no slower than marginalising the whole
+        delta onto every node.
         """
         free = self._free_attrs(pattern)
         want_shape = tuple(self._card[a] for a in free)
         dpos = np.asarray(dpos, dtype=np.int64).reshape(want_shape)
         dneg = np.asarray(dneg, dtype=np.int64).reshape(want_shape)
-        free_axis = {a: i for i, a in enumerate(free)}
-        fixed = pattern.attrs
+        changed = np.flatnonzero((dpos != 0) | (dneg != 0))
+        if changed.size == 0:
+            return
+        fixed = pattern.assignment
+        # Each changed cell's coordinate per attribute; fixed ones are ints.
+        coords = np.unravel_index(changed, want_shape) if free else ()
+        where = dict(zip(free, coords), **fixed)
+        vpos = dpos.reshape(-1)[changed]
+        vneg = dneg.reshape(-1)[changed]
         # Iterate the bitset index, not the frozenset one: it is the index
         # the vectorized engine's node_by_mask pruning reads, so every node
         # reachable there — ancestors included — must see both the count
@@ -347,17 +362,14 @@ class Hierarchy:
         # delta emptied (or filled) would be mis-pruned on the next
         # vectorized identify.
         for node in self._nodes_by_mask.values():
-            drop_axes = tuple(
-                free_axis[a] for a in free if a not in node.attrs
-            )
-            block_pos = dpos.sum(axis=drop_axes) if drop_axes else dpos
-            block_neg = dneg.sum(axis=drop_axes) if drop_axes else dneg
-            idx = tuple(
-                pattern.value_of(a) if a in fixed else slice(None)
-                for a in node.attrs
-            )
-            node.pos[idx] += block_pos
-            node.neg[idx] += block_neg
+            idx = tuple(where[a] for a in node.attrs)
+            if fixed.keys() >= set(node.attrs):
+                # One cell of this node holds the whole delta.
+                node.pos[idx] += vpos.sum()
+                node.neg[idx] += vneg.sum()
+            else:
+                np.add.at(node.pos, idx, vpos)
+                np.add.at(node.neg, idx, vneg)
             node._max_cell_size = None  # counts changed; recompute lazily
 
     def dominating_counts(

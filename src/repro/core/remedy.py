@@ -5,13 +5,22 @@ node re-identifies the biased regions *on the current, partially remedied
 dataset*, and applies the chosen pre-processing technique to each.  The
 paper notes this is iterative because "adjusting the class distribution for
 specific regions will impact the imbalance score of all regions that either
-dominate or are dominated by them".  Rather than rebuilding the hierarchy
-from scratch whenever an update dirties the counts, the loop keeps **one**
-hierarchy current incrementally: every sampler only touches rows matching
-the remedied region's pattern, so the exact count change is the difference
-of the region's leaf-granular count block before and after the update, and
-:meth:`repro.core.hierarchy.Hierarchy.apply_count_delta` folds it into all
-nodes in place (see ``docs/performance.md``).
+dominate or are dominated by them".
+
+Each node is remedied as one edit plan.  The cells of a node are disjoint,
+so a sibling's edit never adds, removes or reorders a region's rows: drops
+keep row order and duplicates go after every original row.  Every biased
+region of the node is therefore planned against the dataset as it stood
+when the node started (one ``joint_codes`` pass finds each region's rows),
+in ``(-difference, pattern)`` order so the rng advances as it would region
+by region.  The plans are applied at once — the kept rows in order, then
+each region's duplicates in region order, relabels in place — which is the
+row order of applying them one at a time.  Rather than rebuilding the
+hierarchy after the edit, the loop keeps **one** hierarchy current: the
+node's exact leaf-granular count change (−1 per dropped row, +1 per
+duplicate, old label −1 and new label +1 per relabel) is folded into every
+node once with :meth:`repro.core.hierarchy.Hierarchy.apply_count_delta`
+(see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -30,13 +39,17 @@ from repro.core.ibs import (
     node_biased_reports,
     scope_levels,
 )
+from repro.core.pattern import Pattern
 from repro.core.ranker import BorderlineRanker
 from repro.core.samplers import (
     PREFERENTIAL,
     MASSAGING,
     TECHNIQUES,
     RegionUpdate,
-    apply_technique,
+    RowSelection,
+    apply_selections,
+    apply_technique,  # unused here; bench/layers.py hooks it by this name
+    plan_technique,
 )
 from repro.data.dataset import Dataset
 from repro.errors import RemedyError
@@ -140,22 +153,23 @@ def remedy_dataset(
             biased = node_biased_reports(
                 hierarchy, node, tau_c, T=T, k=k, method=method, dataset=current
             )
+            if not biased:
+                continue
             biased.sort(key=lambda r: (-r.difference, r.pattern.items))
-            # Apply updates sequentially (lines 4-6).  Cells within a node are
-            # disjoint, so each region's identification counts stay valid while
-            # its siblings are updated; cross-node staleness is handled by
-            # folding each update's exact count delta into the hierarchy (or,
-            # with incremental=False, by a dirty-flag rebuild).
+            # Plan every region against the node's starting rows, then apply
+            # the plans and fold their count change once (lines 4-6).
+            codes, shape = current.joint_codes(node.attrs)
+            selections: list[RowSelection] = []
             for report in biased:
-                before = (
-                    hierarchy.region_leaf_counts(current, report.pattern)
-                    if incremental
-                    else None
+                cell = np.ravel_multi_index(node.coords_of(report.pattern), shape)
+                selection = plan_technique(
+                    technique, current, report, rng, ranker,
+                    rows=np.flatnonzero(codes == cell),
                 )
-                outcome = apply_technique(technique, current, report, rng, ranker)
-                if outcome is None:
+                if selection is None:
                     continue
-                current, update = outcome
+                selections.append(selection)
+                update = selection.update
                 updates.append(update)
                 obs.count("remedy.regions_remedied")
                 obs.count(
@@ -170,13 +184,15 @@ def remedy_dataset(
                     "remedy.rows_relabelled",
                     update.flipped_to_positive + update.flipped_to_negative,
                 )
-                if incremental:
-                    after = hierarchy.region_leaf_counts(current, report.pattern)
-                    hierarchy.apply_count_delta(
-                        report.pattern, after[0] - before[0], after[1] - before[1]
-                    )
-                else:
-                    dirty = True
+            if not selections:
+                continue
+            if incremental:
+                hierarchy.apply_count_delta(
+                    Pattern(), *_leaf_count_delta(current, selections, hierarchy.attrs)
+                )
+            else:
+                dirty = True
+            current = apply_selections(current, selections)
 
         if dirty:
             hierarchy = Hierarchy(current, attrs=attrs)
@@ -191,3 +207,29 @@ def remedy_dataset(
             initial_ibs=initial_ibs,
             hierarchy=hierarchy,
         )
+
+
+def _leaf_count_delta(
+    dataset: Dataset, selections: list[RowSelection], attrs: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf-granular ``(dpos, dneg)`` over ``attrs`` of applying ``selections``.
+
+    A dropped row counts −1 and a duplicated row +1 under its label; a
+    relabelled row counts −1 under its old label and +1 under its new one.
+    Only the edited rows are gathered.
+    """
+    drop = np.concatenate([s.drop for s in selections])
+    duplicate = np.concatenate([s.duplicate for s in selections])
+    relabel = np.concatenate([s.relabel for s in selections])
+    edited = dataset.take(np.concatenate([drop, duplicate, relabel]))
+    codes, shape = edited.joint_codes(attrs)
+    y = edited.y.astype(np.int64)
+    moved = drop.size + duplicate.size
+    sign = np.ones(moved, dtype=np.int64)
+    sign[: drop.size] = -1
+    flip = 1 - 2 * y[moved:]  # +1 for a negative turned positive, else -1
+    dpos = np.zeros(int(np.prod(shape)), dtype=np.int64)
+    dneg = np.zeros_like(dpos)
+    np.add.at(dpos, codes, np.concatenate([sign * y[:moved], flip]))
+    np.add.at(dneg, codes, np.concatenate([sign * (1 - y[:moved]), -flip]))
+    return dpos.reshape(shape), dneg.reshape(shape)

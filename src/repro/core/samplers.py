@@ -9,14 +9,21 @@ its post-update imbalance score equals the neighbourhood's (Definition 6):
   drop top-k borderline majority rows (k per Eq. 1 with ``p_r = -n_r``),
 * **massaging** — flip the labels of top-k borderline majority rows.
 
-A sampler returns the updated dataset plus a :class:`RegionUpdate` audit
-record, or ``None`` when the region cannot be remedied (undefined target
-ratio, or no rows available to move) — Algorithm 2 skips such regions.
+A sampler builds no dataset.  It plans a :class:`RowSelection`: the rows
+to drop, the rows to duplicate (in append order) and the rows to relabel,
+as indices into the dataset it was planned on, plus the region's
+:class:`RegionUpdate` audit record — or ``None`` when the region cannot be
+remedied (undefined target ratio, or no rows available to move), which
+Algorithm 2 skips.  :func:`apply_selections` applies any number of
+selections planned on one dataset at once, so the remedy loop plans every
+biased region of a hierarchy node and edits the rows once per node;
+:func:`apply_technique` plans and applies one region.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +44,10 @@ TECHNIQUES = (OVERSAMPLING, UNDERSAMPLING, PREFERENTIAL, MASSAGING)
 # additions at this multiple of the region size (documented deviation — the
 # paper's Eq. 1 has no finite solution when ratio_rn = 0 and |r+| > 0).
 MAX_GROWTH_FACTOR = 10
+
+
+def _no_rows() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -64,33 +75,33 @@ class RegionUpdate:
         )
 
 
-def _region_rows(
-    dataset: Dataset, pattern: Pattern
-) -> tuple[np.ndarray, np.ndarray]:
-    """(positive_indices, negative_indices) of the region's rows."""
-    mask = pattern.mask(dataset)
-    idx = np.flatnonzero(mask)
-    pos_idx = idx[dataset.y[idx] == 1]
-    neg_idx = idx[dataset.y[idx] == 0]
-    return pos_idx, neg_idx
+@dataclass(frozen=True, eq=False)
+class RowSelection:
+    """One region's planned edit, as row indices into the dataset it was
+    planned on: ``drop`` rows are removed, copies of ``duplicate`` rows are
+    appended in that order, and ``relabel`` rows take the opposite label."""
+
+    update: RegionUpdate
+    drop: np.ndarray = field(default_factory=_no_rows)
+    duplicate: np.ndarray = field(default_factory=_no_rows)
+    relabel: np.ndarray = field(default_factory=_no_rows)
 
 
 def _rounded(value: float) -> int:
     return int(round(value))
 
 
-def apply_oversampling(
-    dataset: Dataset, report: RegionReport, rng: np.random.Generator
-) -> tuple[Dataset, RegionUpdate] | None:
+def _plan_oversampling(
+    report: RegionReport,
+    pos_idx: np.ndarray,
+    neg_idx: np.ndarray,
+    skew_positive: bool,
+    rng: np.random.Generator,
+) -> RowSelection | None:
     """Duplicate minority-class rows until the region hits the target ratio."""
     target = report.neighbor_ratio
-    if is_undefined(target):
-        return None
-    pos_idx, neg_idx = _region_rows(dataset, report.pattern)
     pos, neg = len(pos_idx), len(neg_idx)
     size = pos + neg
-    skew_positive = is_undefined(report.ratio) or report.ratio > target
-
     if skew_positive:
         # Need negatives: |r+| / (|r-| + n) = target.
         if target > 0:
@@ -110,20 +121,19 @@ def apply_oversampling(
             return None
         chosen = rng.choice(pos_idx, size=n_add, replace=True)
         update = RegionUpdate(report.pattern, OVERSAMPLING, added_positives=n_add)
-    return dataset.duplicate_rows(chosen), update
+    return RowSelection(update, duplicate=chosen)
 
 
-def apply_undersampling(
-    dataset: Dataset, report: RegionReport, rng: np.random.Generator
-) -> tuple[Dataset, RegionUpdate] | None:
+def _plan_undersampling(
+    report: RegionReport,
+    pos_idx: np.ndarray,
+    neg_idx: np.ndarray,
+    skew_positive: bool,
+    rng: np.random.Generator,
+) -> RowSelection | None:
     """Drop majority-class rows until the region hits the target ratio."""
     target = report.neighbor_ratio
-    if is_undefined(target):
-        return None
-    pos_idx, neg_idx = _region_rows(dataset, report.pattern)
     pos, neg = len(pos_idx), len(neg_idx)
-    skew_positive = is_undefined(report.ratio) or report.ratio > target
-
     if skew_positive:
         # Remove positives: (|r+| - p) / |r-| = target.
         n_rm = _rounded(pos - target * neg)
@@ -140,7 +150,7 @@ def apply_undersampling(
             return None
         chosen = rng.choice(neg_idx, size=n_rm, replace=False)
         update = RegionUpdate(report.pattern, UNDERSAMPLING, removed_negatives=n_rm)
-    return dataset.drop(chosen), update
+    return RowSelection(update, drop=chosen)
 
 
 def _preferential_k(pos: int, neg: int, target: float, skew_positive: bool) -> int:
@@ -154,28 +164,21 @@ def _preferential_k(pos: int, neg: int, target: float, skew_positive: bool) -> i
     return max(_rounded(k), 0)
 
 
-def apply_preferential(
+def _plan_preferential(
     dataset: Dataset,
     report: RegionReport,
-    rng: np.random.Generator,
+    pos_idx: np.ndarray,
+    neg_idx: np.ndarray,
+    skew_positive: bool,
     ranker: BorderlineRanker,
-) -> tuple[Dataset, RegionUpdate] | None:
+) -> RowSelection | None:
     """Swap k borderline majority rows for k duplicated borderline minority rows."""
-    target = report.neighbor_ratio
-    if is_undefined(target):
-        return None
-    pos_idx, neg_idx = _region_rows(dataset, report.pattern)
-    pos, neg = len(pos_idx), len(neg_idx)
-    skew_positive = is_undefined(report.ratio) or report.ratio > target
-    k = _preferential_k(pos, neg, target, skew_positive)
+    k = _preferential_k(len(pos_idx), len(neg_idx), report.neighbor_ratio, skew_positive)
     if k == 0:
         return None
-
     if skew_positive:
         remove = ranker.borderline_positives(dataset, pos_idx, k)
         duplicate = ranker.borderline_negatives(dataset, neg_idx, k, cycle=True)
-        if remove.size == 0 and duplicate.size == 0:
-            return None
         update = RegionUpdate(
             report.pattern,
             PREFERENTIAL,
@@ -185,54 +188,103 @@ def apply_preferential(
     else:
         remove = ranker.borderline_negatives(dataset, neg_idx, k)
         duplicate = ranker.borderline_positives(dataset, pos_idx, k, cycle=True)
-        if remove.size == 0 and duplicate.size == 0:
-            return None
         update = RegionUpdate(
             report.pattern,
             PREFERENTIAL,
             removed_negatives=int(remove.size),
             added_positives=int(duplicate.size),
         )
-    # Duplicates are copies of original rows, so append before dropping.
-    out = dataset.append_rows(dataset.take(duplicate)).drop(remove)
-    return out, update
+    if remove.size == 0 and duplicate.size == 0:
+        return None
+    return RowSelection(update, drop=remove, duplicate=duplicate)
 
 
-def apply_massaging(
+def _plan_massaging(
     dataset: Dataset,
     report: RegionReport,
-    rng: np.random.Generator,
+    pos_idx: np.ndarray,
+    neg_idx: np.ndarray,
+    skew_positive: bool,
     ranker: BorderlineRanker,
-) -> tuple[Dataset, RegionUpdate] | None:
+) -> RowSelection | None:
     """Flip the labels of k borderline majority-class rows."""
-    target = report.neighbor_ratio
-    if is_undefined(target):
-        return None
-    pos_idx, neg_idx = _region_rows(dataset, report.pattern)
     pos, neg = len(pos_idx), len(neg_idx)
-    skew_positive = is_undefined(report.ratio) or report.ratio > target
-    k = _preferential_k(pos, neg, target, skew_positive)
+    k = _preferential_k(pos, neg, report.neighbor_ratio, skew_positive)
     if k == 0:
         return None
-
-    y = dataset.y.copy()
     if skew_positive:
         flip = ranker.borderline_positives(dataset, pos_idx, min(k, pos))
-        if flip.size == 0:
-            return None
-        y[flip] = 0
         update = RegionUpdate(
             report.pattern, MASSAGING, flipped_to_negative=int(flip.size)
         )
     else:
         flip = ranker.borderline_negatives(dataset, neg_idx, min(k, neg))
-        if flip.size == 0:
-            return None
-        y[flip] = 1
         update = RegionUpdate(
             report.pattern, MASSAGING, flipped_to_positive=int(flip.size)
         )
-    return dataset.with_labels(y), update
+    if flip.size == 0:
+        return None
+    return RowSelection(update, relabel=flip)
+
+
+def plan_technique(
+    technique: str,
+    dataset: Dataset,
+    report: RegionReport,
+    rng: np.random.Generator,
+    ranker: BorderlineRanker | None = None,
+    rows: np.ndarray | None = None,
+) -> RowSelection | None:
+    """Plan one region's edit (the ``alg`` input of Algorithm 2).
+
+    ``rows`` are the region's row indices in ``dataset`` in ascending order;
+    when omitted they come from the pattern's mask.  The selection depends
+    only on those rows, their order, ``rng`` and ``ranker``.
+    """
+    if technique not in TECHNIQUES:
+        raise RemedyError(f"unknown technique {technique!r}; choose from {TECHNIQUES}")
+    if technique in (PREFERENTIAL, MASSAGING) and ranker is None:
+        raise RemedyError(f"technique {technique!r} requires a fitted ranker")
+    target = report.neighbor_ratio
+    if is_undefined(target):
+        return None
+    if rows is None:
+        rows = np.flatnonzero(report.pattern.mask(dataset))
+    labels = dataset.y[rows]
+    pos_idx, neg_idx = rows[labels == 1], rows[labels == 0]
+    skew_positive = is_undefined(report.ratio) or report.ratio > target
+    if technique == OVERSAMPLING:
+        return _plan_oversampling(report, pos_idx, neg_idx, skew_positive, rng)
+    if technique == UNDERSAMPLING:
+        return _plan_undersampling(report, pos_idx, neg_idx, skew_positive, rng)
+    if technique == PREFERENTIAL:
+        return _plan_preferential(
+            dataset, report, pos_idx, neg_idx, skew_positive, ranker
+        )
+    return _plan_massaging(dataset, report, pos_idx, neg_idx, skew_positive, ranker)
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else _no_rows()
+
+
+def apply_selections(dataset: Dataset, selections: Sequence[RowSelection]) -> Dataset:
+    """``dataset`` with every selection planned on it applied at once.
+
+    The result holds the kept rows in their original order, then each
+    selection's duplicates in selection order, with relabelled rows under
+    their new labels.  For selections planned on disjoint regions this is
+    the row order of applying them one at a time.
+    """
+    relabel = _joined([s.relabel for s in selections])
+    drop = _joined([s.drop for s in selections])
+    duplicate = _joined([s.duplicate for s in selections])
+    if relabel.size:
+        y = dataset.y.copy()
+        y[relabel] ^= 1
+        dataset = dataset.with_labels(y)
+    out = dataset.drop(drop) if drop.size else dataset
+    return out.append_rows(dataset.take(duplicate)) if duplicate.size else out
 
 
 def apply_technique(
@@ -242,15 +294,8 @@ def apply_technique(
     rng: np.random.Generator,
     ranker: BorderlineRanker | None = None,
 ) -> tuple[Dataset, RegionUpdate] | None:
-    """Dispatch by technique name (the ``alg`` input of Algorithm 2)."""
-    if technique == OVERSAMPLING:
-        return apply_oversampling(dataset, report, rng)
-    if technique == UNDERSAMPLING:
-        return apply_undersampling(dataset, report, rng)
-    if technique in (PREFERENTIAL, MASSAGING):
-        if ranker is None:
-            raise RemedyError(f"technique {technique!r} requires a fitted ranker")
-        if technique == PREFERENTIAL:
-            return apply_preferential(dataset, report, rng, ranker)
-        return apply_massaging(dataset, report, rng, ranker)
-    raise RemedyError(f"unknown technique {technique!r}; choose from {TECHNIQUES}")
+    """Plan one region's edit and apply it: ``(new dataset, audit record)``."""
+    selection = plan_technique(technique, dataset, report, rng, ranker)
+    if selection is None:
+        return None
+    return apply_selections(dataset, [selection]), selection.update

@@ -141,6 +141,10 @@ class AuditGateway:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # Socket timeout: a client that stalls mid-request (or idles on
+            # a kept-alive connection) frees its thread within one deadline,
+            # so a drain that joins handler threads cannot hang on it.
+            timeout = gateway.config.deadline_seconds
 
             def log_message(self, *args) -> None:  # silence default stderr noise
                 pass
@@ -154,6 +158,10 @@ class AuditGateway:
         self.server = ThreadingHTTPServer(
             (self.config.host, self.config.port), Handler
         )
+        # Non-daemon handler threads: server_close() joins only those, so a
+        # drain finishes (and acks) every in-flight request before the
+        # service closes.
+        self.server.daemon_threads = False
 
     # -- lifecycle ---------------------------------------------------------------
     @property

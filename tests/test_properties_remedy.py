@@ -1,7 +1,8 @@
 """Property-based tests, part 2: remedy, auditing and weighting invariants.
 
 Complements ``test_properties.py`` with invariants over the higher layers:
-the remedy's effect on imbalance differences, the auditor's counts versus
+the remedy's per-node edit plans against a per-region reference loop, the
+remedy's effect on imbalance differences, the auditor's counts versus
 direct mask computation, the CSV round-trip, and the independence property
 of the reweighting baselines — all over randomly generated datasets.
 """
@@ -14,8 +15,29 @@ from hypothesis import given, settings, strategies as st
 
 from repro.audit import find_divergent_subgroups
 from repro.baselines import fairbalance_weights, reweighting_weights
-from repro.core import Hierarchy, identify_ibs, remedy_dataset
-from repro.data import Dataset, read_csv, schema_from_domains, write_csv
+from repro.core import (
+    MASSAGING,
+    METHODS,
+    PREFERENTIAL,
+    SCOPES,
+    TECHNIQUES,
+    BorderlineRanker,
+    Hierarchy,
+    apply_technique,
+    identify_ibs,
+    node_biased_reports,
+    remedy_dataset,
+    scope_levels,
+)
+from repro.data import (
+    Column,
+    Dataset,
+    Schema,
+    read_csv,
+    schema_from_domains,
+    write_csv,
+)
+from repro.data.store import ShardedDataset
 from repro.ml.metrics import statistic
 
 pytestmark = pytest.mark.slow
@@ -43,6 +65,113 @@ def labelled_datasets(draw, min_rows=30, max_rows=150):
         y,
         protected=("a", "b"),
     )
+
+
+@st.composite
+def remedy_cases(draw):
+    """(dataset, tau_c, k): 3-4 attributes with a random positive rate per
+    leaf cell, so most nodes hold several biased regions above ``k``."""
+    n_attrs = draw(st.integers(3, 4))
+    cards = [draw(st.integers(2, 3)) for __ in range(n_attrs)]
+    n_rows = draw(st.integers(40, 160))
+    seed = draw(st.integers(0, 100_000))
+    with_numeric = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    names = [f"x{i}" for i in range(n_attrs)]
+    schema = schema_from_domains(
+        {n: tuple(f"v{j}" for j in range(c)) for n, c in zip(names, cards)}
+    )
+    columns = {n: rng.integers(0, c, size=n_rows) for n, c in zip(names, cards)}
+    cell = np.ravel_multi_index([columns[n] for n in names], cards)
+    rate = rng.uniform(0.05, 0.95, size=int(np.prod(cards)))
+    y = (rng.random(n_rows) < rate[cell]).astype(np.int64)
+    y[0], y[1] = 0, 1  # the ranker needs both classes
+    if with_numeric:
+        schema = Schema(list(schema) + [Column("score", "numeric")])
+        columns["score"] = rng.normal(size=n_rows).round(1)  # ties on purpose
+    dataset = Dataset(schema, columns, y, protected=tuple(names))
+    return dataset, draw(st.sampled_from((0.1, 0.2, 0.3))), draw(st.integers(0, 3))
+
+
+def per_region_remedy(dataset, tau_c, k, technique, scope, method, seed):
+    """Algorithm 2 one region at a time: the reference for node plans.
+
+    For each node in scope order, re-identify on the current data; apply
+    each biased region in ``(-difference, pattern)`` order through the
+    public :func:`apply_technique`, and rebuild the hierarchy from scratch
+    after every applied region.
+    """
+    rng = np.random.default_rng(seed)
+    ranker = None
+    if technique in (PREFERENTIAL, MASSAGING):
+        ranker = BorderlineRanker().fit(dataset)
+    hierarchy = Hierarchy(dataset)
+    initial_ibs = tuple(
+        identify_ibs(dataset, tau_c, k=k, scope=scope, method=method)
+    )
+    keys = [
+        frozenset(node.attrs)
+        for level in scope_levels(hierarchy, scope)
+        for node in hierarchy.nodes_at_level(level)
+    ]
+    current, updates = dataset, []
+    for key in keys:
+        node = hierarchy.node(key)
+        biased = node_biased_reports(
+            hierarchy, node, tau_c, k=k, method=method, dataset=current
+        )
+        biased.sort(key=lambda r: (-r.difference, r.pattern.items))
+        for report in biased:
+            outcome = apply_technique(technique, current, report, rng, ranker)
+            if outcome is None:
+                continue
+            current, update = outcome
+            updates.append(update)
+            hierarchy = Hierarchy(current)
+    return current, tuple(updates), initial_ibs
+
+
+class TestNodePlansEqualPerRegionLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        remedy_cases(),
+        st.sampled_from(TECHNIQUES),
+        st.sampled_from(METHODS),
+        st.sampled_from(SCOPES),
+        st.booleans(),
+        st.sampled_from((None, 7, 50)),
+        st.integers(0, 1_000),
+    )
+    def test_remedy_equals_per_region_reference(
+        self, case, technique, method, scope, incremental, shard_rows, seed
+    ):
+        """Planning a node's regions on its starting rows and applying them
+        at once is byte-identical to remedying them one at a time — rows,
+        order, labels, audit records, and the folded hierarchy — on the
+        in-memory table and on its sharded twin."""
+        dataset, tau_c, k = case
+        source = dataset
+        if shard_rows is not None:
+            source = ShardedDataset.from_dataset(dataset, shard_rows=shard_rows)
+        result = remedy_dataset(
+            source, tau_c, k=k, technique=technique, scope=scope,
+            method=method, seed=seed, incremental=incremental,
+        )
+        expected, updates, initial_ibs = per_region_remedy(
+            dataset, tau_c, k, technique, scope, method, seed
+        )
+        assert result.updates == updates
+        assert result.initial_ibs == initial_ibs
+        for name in dataset.schema.names:
+            got, want = result.dataset.column(name), expected.column(name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert result.dataset.y.tobytes() == expected.y.tobytes()
+        fresh = Hierarchy(expected)
+        for level in range(fresh.max_level + 1):
+            for node in fresh.nodes_at_level(level):
+                kept = result.hierarchy.node(node.attrs)
+                assert np.array_equal(kept.pos, node.pos), node.attrs
+                assert np.array_equal(kept.neg, node.neg), node.attrs
 
 
 class TestRemedyProperties:

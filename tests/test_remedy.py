@@ -1,10 +1,13 @@
 """Unit tests for repro.core.remedy (Algorithm 2)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core import Hierarchy, identify_ibs, remedy_dataset
 from repro.core.samplers import TECHNIQUES
+from repro.data.synth.adult import SCALABILITY_PROTECTED, load_adult
 from repro.errors import RemedyError
 
 
@@ -163,3 +166,49 @@ class TestIncrementalHierarchy:
             hierarchy=h,
         )
         assert result.hierarchy is h  # updated in place, not replaced
+
+
+def remedied_digest(dataset) -> str:
+    """sha256 of every column's bytes (after its name), then the labels."""
+    digest = hashlib.sha256()
+    for name in dataset.schema.names:
+        digest.update(name.encode("utf-8"))
+        digest.update(np.ascontiguousarray(dataset.column(name)).tobytes())
+    digest.update(np.ascontiguousarray(dataset.y).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def adult_3000():
+    return load_adult(3000).with_protected(SCALABILITY_PROTECTED)
+
+
+class TestPinnedOutput:
+    """Remedy output on 3,000 Adult rows over the 8 Fig. 9 attributes, pinned
+    byte for byte to the per-region loop that preceded node plans.
+
+    Any change of row order, rng draws or ranker ties moves a digest.  The
+    leaf scope puts ~22 regions in one node; the lattice scope spreads ~45
+    over ~30 nodes.  Oversampling is pinned at the leaf only: over the
+    lattice its per-region growth (up to 10x) compounds to millions of rows.
+    """
+
+    @pytest.mark.parametrize(
+        "technique, scope, k, digest, n_updates",
+        [
+            ("oversampling", "leaf", 5, "b986da81f49bb3dcc5d34c46a3352739dcbb042b6b6644b032687585a2bcd3fe", 21),
+            ("undersampling", "leaf", 5, "a533e383a394ac4be3fae93b62d3f426aae12caed1604abc1d835ed6a51c183f", 22),
+            ("preferential", "leaf", 5, "386fe7f357ca2a629cdd4ff83189205caea256f09206b11ea85749c9981b739a", 22),
+            ("massaging", "leaf", 5, "8b88867354cc963f00bdda33a1106e717a3a6c5846640f82689fd14c67ab9111", 22),
+            ("undersampling", "lattice", 30, "ca9432567432fe608ef134b8b346b134c657ee5a06621f035318ce5d9bba0725", 42),
+            ("preferential", "lattice", 30, "54027049117cedc2edbd4c4c8d40eb9370de789385ef1eca5303ef3848c50859", 44),
+            ("massaging", "lattice", 30, "2a759c922afb81f5cddb7251e3f1e9bc01757f3457623d611e54a7790916d36a", 48),
+        ],
+    )
+    def test_remedy_digest(self, adult_3000, technique, scope, k, digest, n_updates):
+        result = remedy_dataset(
+            adult_3000, 0.3, k=k, technique=technique, scope=scope,
+            method="vectorized", seed=7,
+        )
+        assert len(result.updates) == n_updates
+        assert remedied_digest(result.dataset) == digest

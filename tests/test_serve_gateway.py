@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import signal
+import socket
 import sys
 import threading
 import time
@@ -226,6 +227,69 @@ class TestHealthAndErrors:
     def test_rebuilt_errors_are_catchable_as_repro_error(self, client):
         with pytest.raises(ReproError):
             client.manifest("ghost")
+
+
+class TestDrain:
+    def test_stop_acks_an_in_flight_ingest_before_closing(
+        self, tmp_path, monkeypatch
+    ):
+        """A drain joins the handler that is mid-ingest: the batch is
+        journalled and acked before ``stop()`` returns and closes the
+        service."""
+        service = make_service(tmp_path / "stream")
+        gw = AuditGateway(service)
+        gw.start()
+        client = GatewayClient(*gw.address, retry=NO_RETRY)
+        entered = threading.Event()
+        real_append = service.log.append_batch
+
+        def slow_append(*args, **kwargs):
+            entered.set()
+            time.sleep(0.5)
+            return real_append(*args, **kwargs)
+
+        monkeypatch.setattr(service.log, "append_batch", slow_append)
+        outcome: dict = {}
+
+        def produce() -> None:
+            try:
+                outcome["ack"] = client.ingest("slow", [insert(0, 0, 1)])
+            except ReproError as exc:
+                outcome["error"] = exc
+
+        producer = threading.Thread(target=produce, daemon=True)
+        producer.start()
+        assert entered.wait(timeout=10)
+        gw.stop()
+        acked_when_stopped = gw._acked
+        producer.join(timeout=10)
+        assert acked_when_stopped == 1
+        assert outcome.get("ack", {}).get("batch") == "slow", outcome
+        reopened, __ = StreamService.open(tmp_path / "stream")
+        try:
+            assert "slow" in reopened.auditor.applied_ids
+        finally:
+            reopened.close()
+
+    def test_a_stalled_client_cannot_hold_the_drain(self, tmp_path):
+        """A connection that sent half a request times out after one
+        deadline, so the drain that joins its thread still returns."""
+        deadline = 1.0
+        service = make_service(tmp_path / "stream")
+        gw = AuditGateway(service, config=GatewayConfig(deadline_seconds=deadline))
+        gw.start()
+        stalled = socket.create_connection(gw.address)
+        try:
+            stalled.sendall(
+                b"POST /ingest HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"id\""
+            )
+            time.sleep(0.1)  # the handler thread is now blocked on the body
+            stopper = threading.Thread(target=gw.stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=2 * deadline)
+            assert not stopper.is_alive(), "stop() still blocked on a stalled client"
+        finally:
+            stalled.close()
 
 
 class _ReadyLineBuffer(io.BytesIO):

@@ -9,6 +9,7 @@ zero completed batches — every one surfaces as a typed
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +208,46 @@ class TestCompaction:
         reopened = DeltaLog.open(tmp_path / "s")
         assert reopened.n_batches == 7
         assert reopened.rebase_seq is not None
+
+    def test_current_flip_is_durable_before_old_segments_are_unlinked(
+        self, tmp_path, config, monkeypatch
+    ):
+        """Power-loss order of compaction: the directory fsync that makes the
+        ``CURRENT`` flip durable precedes the first unlink of an old
+        segment, so a power cut cannot keep the unlinks yet lose the flip
+        (which would leave a live generation with no segments)."""
+        from repro.data import io as data_io
+        from repro.stream import journal as journal_mod
+
+        directory = tmp_path / "s"
+        log = DeltaLog.create(directory, config)
+        fill(log, 3)
+        events: list[tuple[str, object]] = []
+        real_fsync_dir, real_unlink = data_io.fsync_dir, Path.unlink
+
+        def recording_fsync_dir(path) -> None:
+            real_fsync_dir(path)
+            current = json.loads((directory / CURRENT_FILE).read_text())
+            events.append(("fsync_dir", current["generation"]))
+
+        def recording_unlink(path, *args, **kwargs) -> None:
+            if _SEGMENT_RE.match(path.name):
+                events.append(("unlink", path.name))
+            real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(data_io, "fsync_dir", recording_fsync_dir)
+        monkeypatch.setattr(journal_mod, "fsync_dir", recording_fsync_dir)
+        monkeypatch.setattr(Path, "unlink", recording_unlink)
+        log.compact(
+            iter([[[0, [0, 0], 1]]]), next_row_id=3, n_alive=1,
+            alarms=[], events_dropped=0,
+        )
+        log.close()
+        unlinks = [i for i, (kind, __) in enumerate(events) if kind == "unlink"]
+        flips = [i for i, event in enumerate(events) if event == ("fsync_dir", 1)]
+        assert unlinks, "compaction must unlink the old generation's segments"
+        assert flips, "the CURRENT flip must be followed by a directory fsync"
+        assert flips[0] < unlinks[0], events
 
     def test_orphan_sweep_after_simulated_compaction_crash(
         self, tmp_path, config
