@@ -77,36 +77,26 @@ bench-serve:
 examples:
 	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src python $$f || exit 1; done
 
+# The chaos drills, one CI stage per target (docs/resilience.md, "Chaos
+# drills"): a sweep under transient faults; worker crashes, hangs and a
+# SIGKILLed driver; stream crashes around the journal append, a torn tail
+# and a crash after compaction; a SIGKILLed materialize; and gateway
+# crashes mid-ingest, mid-fetch and mid-remedy plus a SIGTERM drain.  Each
+# must recover to the clean run's output byte for byte.
 experiments-smoke:
-	PYTHONPATH=src python -m repro.resilience.smoke
+	PYTHONPATH=src python -m repro.resilience.chaos --stage experiments-smoke
 
-# Process-backend chaos smoke: the sweep must survive injected worker
-# crashes (os._exit, SIGKILL), past-deadline hangs, and a SIGKILLed driver,
-# and still reproduce the clean serial output byte for byte.
 chaos:
-	PYTHONPATH=src python -m repro.resilience.chaos --workers 2
+	PYTHONPATH=src python -m repro.resilience.chaos --stage chaos
 
-# Streaming-auditor chaos drills: crash (exit / SIGKILL) around the journal
-# append, a hung ingest killed externally, a torn tail record, and a crash
-# mid-compaction — every scenario must recover to a byte-identical replay
-# with no orphaned segments past the watermark.
 stream-chaos:
-	PYTHONPATH=src python -m repro.stream.chaos
+	PYTHONPATH=src python -m repro.resilience.chaos --stage stream-chaos
 
-# Sharded-store chaos drills: a flipped or truncated byte in any shard must
-# fail `repro data verify` with a typed error naming the file, a SIGKILLed
-# materialize must leave no partial registry entry (prune sweeps the .tmp-*
-# orphan), and a live lease must pin its entry against prune.
 data-chaos:
-	PYTHONPATH=src python -m repro.data.chaos
+	PYTHONPATH=src python -m repro.resilience.chaos --stage data-verify
 
-# Audit-gateway chaos drills: SIGKILL mid-ingest (restart + client retry
-# must converge with zero acked-but-lost batches), SIGKILL mid-fetch (no
-# torn store, no .tmp-* orphans), a crash between remedy journalling and
-# the ack, and a SIGTERM drain — every drill ends in a byte-identical
-# replay digest.
 serve-chaos:
-	PYTHONPATH=src python -m repro.serve.chaos
+	PYTHONPATH=src python -m repro.resilience.chaos --stage serve-chaos
 
 report:
 	PYTHONPATH=src python examples/regenerate_report.py REPORT.md

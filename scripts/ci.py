@@ -9,29 +9,32 @@ Runs the repository's quality gates in order, fail-fast::
                        cache = cold run); its wall time lands in the status
                        table like every stage's
     tier1              fast pytest suite (slow-marked modules skipped)
-    experiments-smoke  resilience smoke sweep over the experiment harnesses
+    experiments-smoke  the chaos drills of this stage: a robustness sweep
+                       with a transient fault in every cell
     chaos              strict lint of the resilience/obs subsystems, then
-                       the process-backend sweep under crashes/hangs/driver
-                       kill
-    stream-chaos       the streaming auditor's crash/hang/torn-tail drills:
-                       every scenario must recover to a byte-identical
-                       replay with no orphaned segments; then the hypothesis
+                       the chaos drills of this stage: the process-backend
+                       sweep under worker crashes/hangs, and a driver kill
+    stream-chaos       the chaos drills of this stage (the streaming
+                       auditor's crash/hang/torn-tail/compaction drills:
+                       every one must recover to a byte-identical replay
+                       with no orphaned segments); then the hypothesis
                        property suite pinning every batch's re-score to a
                        scalar oracle and the end state to a from-scratch
                        audit
     data-verify        the sharded dataset plane's gates: strict lint of
-                       the store package, the data-chaos drills (bit
-                       flips, torn materialize, lease pinning), the hypothesis
-                       property suite proving sharded == in-memory byte
-                       for byte, then the engine and remedy oracles that
-                       pin IBS output over the row store and pin remedy
-                       output to the per-region reference loop
+                       the store package, the chaos drill of this stage
+                       (a SIGKILLed materialize leaves no partial entry),
+                       the hypothesis property suite proving sharded ==
+                       in-memory byte for byte, then the engine and remedy
+                       oracles that pin IBS output over the row store and
+                       pin remedy output to the per-region reference loop
                        (slow-marked, so tier1 skips them)
     serve-chaos        the audit gateway's process-level drills: strict
-                       lint of the serve package, then SIGKILL mid-ingest
-                       and mid-fetch, a remedy crash, and a SIGTERM drain —
-                       every drill must converge to a byte-identical
-                       replay with zero acked-but-lost batches
+                       lint of the serve package, then the chaos drills of
+                       this stage (crash mid-ingest and mid-fetch, a remedy
+                       crash, and a SIGTERM drain) — every drill must
+                       converge to a byte-identical replay with zero
+                       acked-but-lost batches
     examples           every script in examples/ end to end
     bench-regression   the benchmark harness's own tests (bench/tests:
                        every traced layer hook must still resolve in src/),
@@ -39,7 +42,9 @@ Runs the repository's quality gates in order, fail-fast::
                        benchmarks vs the committed baselines
 
 A strict lint runs ``STRICT_RULES`` over one subsystem slice with no
-baseline (inline suppressions only).
+baseline (inline suppressions only).  Every chaos drill lives in one table
+in :mod:`repro.resilience.chaos`, tagged with the stage that runs it
+(``drill_stage``); see "Chaos drills" in ``docs/resilience.md``.
 
 Each stage runs as a subprocess with ``PYTHONPATH=src`` and is timed through
 a :mod:`repro.obs` span; the run ends with a per-stage status table and a
@@ -82,6 +87,11 @@ def strict_lint(*slices: str) -> list[str]:
     return [PYTHON, "-m", "repro.analysis", *slices, "--rules", STRICT_RULES]
 
 
+def drill_stage(stage: str) -> list[str]:
+    """The chaos drills tagged with ``stage``."""
+    return [PYTHON, "-m", "repro.resilience.chaos", "--stage", stage]
+
+
 def stage_commands(
     bench_json: str,
     pool_json: str,
@@ -106,7 +116,7 @@ def stage_commands(
         ),
         (
             "experiments-smoke",
-            [[PYTHON, "-m", "repro.resilience.smoke"]],
+            [drill_stage("experiments-smoke")],
         ),
         (
             "chaos",
@@ -114,13 +124,13 @@ def stage_commands(
                 # Strict lint first: new resilience/obs code must be clean
                 # outright.
                 strict_lint("src/repro/resilience", "src/repro/obs"),
-                [PYTHON, "-m", "repro.resilience.chaos", "--workers", "2"],
+                drill_stage("chaos"),
             ],
         ),
         (
             "stream-chaos",
             [
-                [PYTHON, "-m", "repro.stream.chaos"],
+                drill_stage("stream-chaos"),
                 # The equivalence proof: every batch's re-score equals the
                 # scalar per-region oracle, and the streamed end state a
                 # from-scratch identify_ibs, across random schemas, delta
@@ -134,9 +144,9 @@ def stage_commands(
                 # Strict lint first: the store package must be clean
                 # outright.
                 strict_lint("src/repro/data/store"),
-                # Bit flips, truncation, SIGKILLed materialize, lease
-                # pinning — the registry's loud-and-atomic contracts.
-                [PYTHON, "-m", "repro.data.chaos"],
+                # A SIGKILLed materialize must leave no partial entry (bit
+                # flips and lease pinning are tier-1 tests in test_store).
+                drill_stage("data-verify"),
                 # The equivalence proof: sharded region_counts and full
                 # IBS reports byte-identical to the in-memory Dataset
                 # across random schemas, shard sizes, and edit sequences;
@@ -153,11 +163,11 @@ def stage_commands(
                 # Strict lint first: the serving front must be clean
                 # outright.
                 strict_lint("src/repro/serve"),
-                # SIGKILL mid-ingest and mid-fetch, a remedy crash, and a
+                # Crashes mid-ingest and mid-fetch, a remedy crash, and a
                 # SIGTERM drain — restart + client retry must converge to
                 # a byte-identical replay with zero acked-but-lost batches
                 # and no .tmp-* orphans.
-                [PYTHON, "-m", "repro.serve.chaos"],
+                drill_stage("serve-chaos"),
             ],
         ),
         (

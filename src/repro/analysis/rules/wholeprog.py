@@ -64,8 +64,8 @@ CLOCK_EXEMPT_SEGMENTS = frozenset({"obs", "resilience"})
 CLOCK_EXEMPT_SUBPACKAGES = frozenset({"stream"})
 
 #: Module basenames allowed to read/branch on ambient tracer state: the obs
-#: plumbing itself, the CLI driver, and the chaos/smoke harness drivers.
-OBS_EXEMPT_BASENAMES = frozenset({"cli", "__main__", "chaos", "smoke", "ci"})
+#: plumbing itself, the CLI driver, and the chaos drill module.
+OBS_EXEMPT_BASENAMES = frozenset({"cli", "__main__", "chaos", "ci"})
 
 #: Primitives that are nondeterministic across runs inside a cell key.
 _UNSTABLE_KEY_CALLS = frozenset({"id", "hash", "os.getpid", "os.urandom"})

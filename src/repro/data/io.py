@@ -22,9 +22,39 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema
-from repro.errors import DataError, SchemaError
+from repro.errors import DataError, InternalError, SchemaError
 
 LABEL_COLUMN = "label"
+
+#: Environment variable arming one crash site for one process: a JSON
+#: object ``{"site", "key", "action"}`` read by :func:`chaos_point`.
+CHAOS_ENV = "REPRO_CHAOS"
+
+
+def chaos_point(site: str, key: str) -> None:
+    """Run the chaos action armed for ``site`` and ``key``, if any.
+
+    The crash sites of the chaos drills (``stream.append``,
+    ``store.shard``, ``serve.fetch``) call this at the instant a crash is
+    to be proven recoverable.  ``action`` is a
+    :class:`~repro.resilience.faults.CrashFault` /
+    :class:`~repro.resilience.faults.HangFault` worker descriptor.  Unarmed,
+    this is one environment lookup, and ``repro.resilience`` is imported
+    only when an armed plan matches.
+    """
+    spec = os.environ.get(CHAOS_ENV)
+    if not spec:
+        return
+    try:
+        plan = json.loads(spec)
+        armed = plan["site"] == site and plan["key"] == key
+        action = plan["action"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InternalError(f"malformed {CHAOS_ENV} plan {spec!r}: {exc!r}") from exc
+    if armed:
+        from repro.resilience.faults import execute_chaos_action
+
+        execute_chaos_action(action)
 
 
 def fsync_dir(path: str | Path) -> None:

@@ -8,7 +8,9 @@ directories (see :mod:`repro.data.store.format`).  It provides the four
   synthetic generator, crash-safely: everything lands in a ``.tmp-*`` sibling
   first and is renamed into place only after the manifest (written last) is
   durable.  A process SIGKILLed mid-write leaves a ``.tmp-*`` orphan that
-  ``list``/``verify`` never see and ``prune`` sweeps.
+  ``list``/``verify`` never see and ``prune`` sweeps; the ``data-verify``
+  drill crashes one at the ``store.shard`` chaos point to prove it (see
+  "Chaos drills" in ``docs/resilience.md``).
 * **list** — enumerate entries with their manifests.
 * **verify** — re-hash every shard file against the manifest; any mismatch
   raises :class:`~repro.errors.StoreCorruptionError` naming the shard file.
@@ -32,7 +34,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.data.io import fsync_dir
+from repro.data.io import chaos_point, fsync_dir
 from repro.data.store.format import (
     LABELS_FILE,
     MANIFEST_NAME,
@@ -50,8 +52,6 @@ from repro.errors import StoreCorruptionError, StoreError
 TMP_PREFIX = ".tmp-"
 LEASE_DIR = ".leases"
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-CHAOS_ENV = "REPRO_DATA_CHAOS"
 
 _lease_seq = 0
 
@@ -89,16 +89,6 @@ def synth_chunks(
     for i, start in enumerate(range(0, total_rows, shard_rows)):
         n = min(shard_rows, total_rows - start)
         yield generator(n_rows=n, seed=seed + i)
-
-
-def _chaos_after_shard(index: int) -> None:
-    """Chaos hook: ``REPRO_DATA_CHAOS=kill_after_shard:<k>`` SIGKILLs the
-    writing process right after shard ``k``'s files hit disk (manifest not
-    yet written) — the data-chaos drill proves the registry never exposes
-    that torso."""
-    plan = os.environ.get(CHAOS_ENV, "")
-    if plan.startswith("kill_after_shard:") and index == int(plan.split(":", 1)[1]):
-        os.kill(os.getpid(), 9)
 
 
 def write_store(
@@ -164,7 +154,9 @@ def write_store(
             }
         )
         start += chunk.n_rows
-        _chaos_after_shard(i)
+        # Shard i is on disk, the manifest is not: a crash here must leave
+        # only a .tmp-* orphan.
+        chaos_point("store.shard", str(i))
     if schema is None:
         shutil.rmtree(tmp)
         raise StoreError("cannot materialize a store from zero chunks")
@@ -397,5 +389,4 @@ __all__ = [
     "synth_chunks",
     "TMP_PREFIX",
     "LEASE_DIR",
-    "CHAOS_ENV",
 ]

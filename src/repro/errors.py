@@ -106,6 +106,10 @@ class RequestDeadlineError(ServeError):
     """A request could not be served within its per-request deadline."""
 
 
+class RequestTimeoutError(ServeError):
+    """A client stalled mid-request past the gateway's socket timeout."""
+
+
 class CircuitOpenError(ServeError):
     """The remedy circuit breaker is open; automated remedies are paused."""
 

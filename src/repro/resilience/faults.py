@@ -135,7 +135,7 @@ def execute_chaos_action(action: Mapping[str, object]) -> None:
 
     Crash descriptors never return; hang descriptors sleep, so the parent's
     hard-kill (or an external killer) lands deterministically.  Pool
-    workers and the stream chaos hook both execute descriptors here.
+    workers and :func:`repro.data.io.chaos_point` execute descriptors here.
     """
     kind = action.get("kind")
     if kind == CHAOS_CRASH:

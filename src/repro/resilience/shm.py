@@ -10,8 +10,8 @@ offset layout) instead; workers *attach* the segment and rebuild the
 dataset as read-only numpy views over the shared buffer — the bytes cross
 the process boundary zero times.
 
-Lifecycle invariants (pinned by ``tests/test_shm.py`` and the chaos
-harness):
+Lifecycle invariants (pinned by ``tests/test_shm.py`` and the ``chaos``
+drills, see "Chaos drills" in ``docs/resilience.md``):
 
 * **Content-addressed, refcounted.**  Segments are keyed by a sha256 of the
   schema, array bytes, labels, and protected set; publishing the same
@@ -53,8 +53,8 @@ from repro.data.schema import Schema
 from repro.errors import ResilienceError
 from repro.obs import trace as obs
 
-#: Segment names start with this; the chaos harness greps ``/dev/shm`` for
-#: it to prove nothing leaked.
+#: Segment names start with this; the ``chaos`` drills grep ``/dev/shm``
+#: for it to prove nothing leaked.
 SEGMENT_PREFIX = "repro-shm"
 
 #: Array start offsets are rounded up to this many bytes so every view is

@@ -21,10 +21,12 @@ registry datasets without ever being able to corrupt state:
 * :mod:`repro.serve.client` — the retrying :class:`GatewayClient` built
   on :class:`repro.resilience.RetryPolicy`'s deterministic jittered
   backoff, with client-side sha256 verification and crash-atomic install
-  of fetched stores;
-* :mod:`repro.serve.chaos` — the ``serve-chaos`` drills: SIGKILL the
-  server mid-ingest and mid-fetch, restart, prove the client retry loop
-  converges to a byte-identical replay with zero acked-but-lost batches.
+  of fetched stores.
+
+The ``serve-chaos`` drills (see "Chaos drills" in ``docs/resilience.md``)
+SIGKILL the server mid-ingest and mid-fetch, restart it, and prove the
+client retry loop converges to a byte-identical replay with zero
+acked-but-lost batches.
 
 This package is the single place allowed to touch raw sockets and HTTP
 primitives — rule R016 flags them anywhere else.

@@ -13,9 +13,10 @@ The client is the other half of the gateway's fault contract:
   so a 422 poison batch is *not* hammered.
 * **Exactly-once effect** — the batch id is the idempotency key.  A retry
   of a batch the server already journalled (the ack was lost, not the
-  batch) comes back as a cheap ``"duplicate": true`` ack.  The chaos drill
-  (:mod:`repro.serve.chaos`) kills the server between journal and ack and
-  asserts the retry loop converges with zero double-applies.
+  batch) comes back as a cheap ``"duplicate": true`` ack.  The
+  ``serve-chaos`` drills (see "Chaos drills" in ``docs/resilience.md``)
+  kill the server between journal and ack and assert the retry loop
+  converges with zero double-applies.
 * **Verified fetch** — :meth:`GatewayClient.fetch_dataset` mirrors the
   registry's own crash-safe install: shard files download into a
   ``.tmp-*`` sibling, every file is re-hashed against the manifest's

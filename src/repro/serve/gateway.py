@@ -33,8 +33,12 @@ Degradation is graceful and *typed* (see :mod:`repro.serve.protocol`):
   by ``repro serve``) flips new requests to 503
   (:class:`~repro.errors.DrainingError`), lets in-flight handlers finish,
   then flushes and closes the service so leases and file handles are
-  released.  A SIGKILL instead of a drain is exactly what
-  :mod:`repro.serve.chaos` proves recoverable.
+  released.  A SIGKILL instead of a drain is what the ``serve-chaos``
+  drills prove recoverable (see "Chaos drills" in ``docs/resilience.md``).
+* **Slow and vanished clients** — a client that stalls mid-body past the
+  socket timeout gets a 408 (:class:`~repro.errors.RequestTimeoutError`)
+  and its connection is closed; one that resets the connection is dropped
+  without a response.
 
 The ``StreamService`` is deliberately single-writer; the gateway serialises
 ingest behind one lock rather than pretending the journal is concurrent.
@@ -45,19 +49,20 @@ not from interleaved appends — the sha chain stays linear.
 from __future__ import annotations
 
 import json
-import os
 import signal
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+from repro.data.io import chaos_point
 from repro.data.store.format import manifest_digest, read_manifest
 from repro.errors import (
     AdmissionError,
     DataError,
     DrainingError,
     RequestDeadlineError,
+    RequestTimeoutError,
     ReproError,
     ServeError,
     StoreError,
@@ -67,12 +72,6 @@ from repro.serve.protocol import canonical_json_bytes, error_payload, registry_p
 from repro.serve.remedy import RemedyController
 from repro.stream.deltas import deltas_from_records
 from repro.stream.monitor import ALARM_CLEAR, ALARM_RAISE
-
-#: Environment variable arming the fetch-tier chaos plan for one server
-#: process: ``{"file": "shard-00000/c0000.npy"}`` makes the gateway
-#: SIGKILL itself after serving *half* of that file's bytes — the
-#: ``serve-chaos`` mid-fetch drill.
-SERVE_CHAOS_ENV = "REPRO_SERVE_CHAOS"
 
 #: Ingest deadline header; value in (fractional) seconds.
 DEADLINE_HEADER = "X-Repro-Deadline"
@@ -104,17 +103,6 @@ class GatewayConfig:
             )
 
 
-def _fetch_chaos_plan() -> dict | None:
-    """The armed mid-fetch chaos plan, if any (see :data:`SERVE_CHAOS_ENV`)."""
-    spec = os.environ.get(SERVE_CHAOS_ENV)
-    if not spec:
-        return None
-    plan = json.loads(spec)
-    if not isinstance(plan, dict) or "file" not in plan:
-        raise ServeError(f"malformed {SERVE_CHAOS_ENV} plan: {spec!r}")
-    return plan
-
-
 class AuditGateway:
     """HTTP front for one stream directory and (optionally) one registry."""
 
@@ -136,7 +124,6 @@ class AuditGateway:
         self._shed = 0
         self._draining = False
         self._serve_thread: threading.Thread | None = None
-        self._fetch_chaos = _fetch_chaos_plan()
         gateway = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -247,6 +234,11 @@ class AuditGateway:
             handler.close_connection = True
             self._send_json(handler, status_for(exc), error_payload(exc))
             return
+        except ConnectionError:
+            # The client reset or closed mid-request: nobody is left to
+            # read a response, so writing one would only fail again.
+            handler.close_connection = True
+            return
         except Exception as exc:  # repro: ignore[R007] — boundary: every
             # handler fault must become a 500 body, never a socket abort.
             handler.close_connection = True
@@ -283,7 +275,13 @@ class AuditGateway:
                 f"ingest body of {length} bytes exceeds the "
                 f"{_MAX_BODY_BYTES}-byte cap; split the batch"
             )
-        return handler.rfile.read(length)
+        try:
+            return handler.rfile.read(length)
+        except TimeoutError:
+            raise RequestTimeoutError(
+                f"fewer than the announced {length} body bytes arrived "
+                f"within the {self.config.deadline_seconds}s socket timeout"
+            ) from None
 
     def _deadline(self, handler: BaseHTTPRequestHandler) -> float:
         raw = handler.headers.get(DEADLINE_HEADER)
@@ -403,14 +401,12 @@ class AuditGateway:
         handler.send_header("Content-Length", str(len(data)))
         handler.send_header(SHA_HEADER, meta["sha256"])
         handler.end_headers()
-        plan = self._fetch_chaos
-        if plan is not None and plan["file"] == f"{shard_dir}/{fname}":
-            # Mid-fetch chaos: half the body, then death by signal — the
-            # client sees a short read and must converge by retrying.
-            handler.wfile.write(data[: len(data) // 2])
-            handler.wfile.flush()
-            os.kill(os.getpid(), signal.SIGKILL)
-        handler.wfile.write(data)
+        # Half the body, then the serve.fetch chaos point: a crash here
+        # hands the client a short read it must converge from by retrying.
+        half = len(data) // 2
+        handler.wfile.write(data[:half])
+        chaos_point("serve.fetch", f"{shard_dir}/{fname}")
+        handler.wfile.write(data[half:])
         obs.count("serve.shard_bytes", len(data))
         return True
 
@@ -463,6 +459,5 @@ __all__ = [
     "AuditGateway",
     "DEADLINE_HEADER",
     "GatewayConfig",
-    "SERVE_CHAOS_ENV",
     "SHA_HEADER",
 ]

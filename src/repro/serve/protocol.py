@@ -65,6 +65,9 @@ STATUS_BY_ERROR: dict[type, int] = {
     errors.ServeError: 500,
     errors.AdmissionError: 429,
     errors.RequestDeadlineError: 504,
+    # The client, not the server, was too slow: resending the same request
+    # at the same pace would stall again, so it is not retryable.
+    errors.RequestTimeoutError: 408,
     errors.CircuitOpenError: 503,
     errors.DrainingError: 503,
     errors.TransportError: 502,

@@ -7,8 +7,8 @@ it *continuously* as the dataset changes.  Edits arrive as typed deltas
 hierarchy with dirty-region re-scoring (:mod:`~repro.stream.engine`), and
 surfaced as drift alarms with hysteresis (:mod:`~repro.stream.monitor`).
 The :mod:`~repro.stream.service` front adds backpressure and poison-delta
-quarantine; :mod:`~repro.stream.chaos` proves the crash-recovery contract.
-See ``docs/streaming.md``.
+quarantine; the ``stream-chaos`` drills prove the crash-recovery contract
+(see "Chaos drills" in ``docs/resilience.md``).  See ``docs/streaming.md``.
 """
 
 from repro.stream.deltas import (

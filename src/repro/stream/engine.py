@@ -288,7 +288,8 @@ class StreamAuditor:
 
         Floats are serialised via ``repr`` (shortest round-trip, handles
         ``inf``), so two states digest equal iff they are bit-identical —
-        the chaos harness's recovery oracle.
+        the recovery oracle of the chaos drills (see "Chaos drills" in
+        ``docs/resilience.md``).
         """
         payload = {
             "watermark": self.watermark,

@@ -19,8 +19,10 @@ leaves a recoverable journal:
    watermark, so a crash between journal and apply is invisible: restart
    replays the journalled batch and the watermark catches up.
 
-A ``chaos_hook(batch_id, stage)`` seam lets the chaos harness kill the
-process between those steps deterministically.
+The ``stream.append`` chaos point (:func:`repro.data.io.chaos_point`)
+sits between steps 3 and 4: the ``stream-chaos`` and ``serve-chaos``
+drills crash or hang the process there (see "Chaos drills" in
+``docs/resilience.md``).
 """
 
 from __future__ import annotations
@@ -28,19 +30,15 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
+from repro.data.io import chaos_point
 from repro.errors import BackpressureError, DeltaError, StreamError
 from repro.obs import trace as obs
 from repro.stream.deltas import Delta, delta_from_record, deltas_from_records
 from repro.stream.engine import StreamAuditor
 from repro.stream.journal import DeltaLog, StreamConfig
 from repro.stream.monitor import AlarmEvent
-
-#: Chaos stages, in write-path order: after the durable append, before the
-#: in-memory apply.
-STAGE_POST_APPEND = "post-append"
-STAGE_PRE_APPLY = "pre-apply"
 
 DEAD_QUARANTINED = "quarantined"
 DEAD_REQUEUED = "requeued"
@@ -50,15 +48,9 @@ DEAD_DEAD = "dead"
 class StreamService:
     """Durable ingestion front of one stream directory."""
 
-    def __init__(
-        self,
-        log: DeltaLog,
-        auditor: StreamAuditor,
-        chaos_hook: Callable[[str, str], None] | None = None,
-    ):
+    def __init__(self, log: DeltaLog, auditor: StreamAuditor):
         self.log = log
         self.auditor = auditor
-        self.chaos_hook = chaos_hook
         self._queue: deque[tuple[str, list[Delta]]] = deque()
         self._dead_seq = len(self.log.dead_letters())
         self._n_outstanding = len(self.log.outstanding_dead_letters())
@@ -66,21 +58,15 @@ class StreamService:
     # -- lifecycle ---------------------------------------------------------------
     @classmethod
     def create(
-        cls,
-        directory: str | Path,
-        config: StreamConfig,
-        chaos_hook: Callable[[str, str], None] | None = None,
+        cls, directory: str | Path, config: StreamConfig
     ) -> "StreamService":
         """Initialise a fresh stream directory (journal genesis) and open it."""
         log = DeltaLog.create(directory, config)
-        return cls(log, StreamAuditor(config), chaos_hook=chaos_hook)
+        return cls(log, StreamAuditor(config))
 
     @classmethod
     def open(
-        cls,
-        directory: str | Path,
-        allow_empty: bool = False,
-        chaos_hook: Callable[[str, str], None] | None = None,
+        cls, directory: str | Path, allow_empty: bool = False
     ) -> tuple["StreamService", object]:
         """Recover the journal and replay it into a live service.
 
@@ -90,7 +76,7 @@ class StreamService:
         """
         log, report = DeltaLog.recover(directory, allow_empty=allow_empty)
         auditor = StreamAuditor.from_journal(log)
-        return cls(log, auditor, chaos_hook=chaos_hook), report
+        return cls(log, auditor), report
 
     def close(self) -> None:
         """Release the journal's file handle."""
@@ -151,10 +137,9 @@ class StreamService:
             seq = self.log.append_batch(
                 batch_id, [d.to_record() for d in valid]
             )
-            if self.chaos_hook is not None:
-                self.chaos_hook(batch_id, STAGE_POST_APPEND)
-            if self.chaos_hook is not None:
-                self.chaos_hook(batch_id, STAGE_PRE_APPLY)
+            # Journalled, not applied: the watermark still points before
+            # this batch, so a crash here must replay it on restart.
+            chaos_point("stream.append", batch_id)
             return self.auditor.apply_batch(seq, batch_id, valid)
 
     # -- quarantine --------------------------------------------------------------

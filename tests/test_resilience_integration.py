@@ -20,6 +20,7 @@ from repro.errors import DataError
 from repro.experiments.robustness import run_seed_sweep
 from repro.experiments.tradeoff import run_tradeoff
 from repro.resilience import (
+    BACKEND_INPROC,
     CellExecutor,
     Checkpoint,
     FaultPlan,
@@ -28,7 +29,7 @@ from repro.resilience import (
     interrupt_on_call,
     seeded_transients,
 )
-from repro.resilience.smoke import run_smoke
+from repro.resilience.chaos import faulted_sweep
 
 pytestmark = pytest.mark.slow
 
@@ -132,6 +133,10 @@ class TestGracefulDegradation:
 
 class TestSmokeGate:
     def test_smoke_passes(self):
-        """Tier-1 gate for ``make experiments-smoke``."""
-        table = run_smoke(rows=500, seeds=(0, 1))
+        """Tier-1 gate for ``make experiments-smoke``: every cell fails once
+        with a transient fault and the sweep still matches a clean run."""
+        seeds = (0, 1)
+        keys = [("robustness", str(seed)) for seed in seeds]
+        faults = seeded_transients(keys, seed=0, rate=1.0, times=1)
+        table = faulted_sweep(faults, BACKEND_INPROC, seeds)
         assert "Robustness" in table

@@ -2,15 +2,18 @@
 
 Every test runs a real ``ThreadingHTTPServer`` on an ephemeral port and a
 real :class:`~repro.serve.client.GatewayClient` over localhost — the full
-wire path, minus processes (the process-level drills live in
-``repro.serve.chaos``).
+wire path, minus processes (the process-level drills are the
+``serve-chaos`` rows of :mod:`repro.resilience.chaos`; see "Chaos drills"
+in ``docs/resilience.md``).
 """
 
 from __future__ import annotations
 
 import io
+import json
 import signal
 import socket
+import struct
 import sys
 import threading
 import time
@@ -290,6 +293,67 @@ class TestDrain:
             assert not stopper.is_alive(), "stop() still blocked on a stalled client"
         finally:
             stalled.close()
+
+
+class TestSlowClients:
+    def test_a_stalled_body_gets_a_typed_408_and_a_closed_connection(
+        self, tmp_path
+    ):
+        service = make_service(tmp_path / "stream")
+        gw = AuditGateway(service, config=GatewayConfig(deadline_seconds=0.5))
+        gw.start()
+        try:
+            with socket.create_connection(gw.address, timeout=10) as stalled:
+                stalled.sendall(
+                    b"POST /ingest HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"id\""
+                )
+                response = b""
+                while chunk := stalled.recv(65536):  # until the server closes
+                    response += chunk
+        finally:
+            gw.stop()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 "), head
+        payload = json.loads(body)
+        assert payload["error"] == "RequestTimeoutError"
+        assert payload["status"] == 408 and payload["retryable"] is False
+        assert service.log.outstanding_dead_letters() == []
+
+    def test_a_reset_mid_body_never_reaches_handle_error(
+        self, tmp_path, monkeypatch
+    ):
+        """A vanished client gets no response written at it, so the server
+        records no handler fault and prints no traceback."""
+        service = make_service(tmp_path / "stream")
+        gw = AuditGateway(service)
+        faults: list = []
+        monkeypatch.setattr(
+            gw.server, "handle_error", lambda request, address: faults.append(address)
+        )
+        reading = threading.Event()
+        read_body = gw._read_body
+
+        def signalled_read_body(handler):
+            reading.set()
+            return read_body(handler)
+
+        monkeypatch.setattr(gw, "_read_body", signalled_read_body)
+        gw.start()
+        try:
+            client = socket.create_connection(gw.address)
+            client.sendall(
+                b"POST /ingest HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"id\""
+            )
+            assert reading.wait(timeout=10)
+            # A zero linger timeout makes close() send RST instead of FIN.
+            client.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            client.close()
+        finally:
+            gw.stop()  # joins the handler thread
+        assert faults == []
+        assert service.auditor.n_batches == 0
 
 
 class _ReadyLineBuffer(io.BytesIO):

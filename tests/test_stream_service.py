@@ -137,20 +137,18 @@ class TestQuarantine:
 
 
 class TestWatermarkAndRecovery:
-    def test_watermark_advances_only_after_apply(self, tmp_path):
-        stages = []
+    def test_watermark_advances_only_after_apply(self, tmp_path, monkeypatch):
+        points = []
 
-        def hook(batch_id, stage):
-            stages.append((stage, service.auditor.watermark))
+        def point(site, key):
+            points.append((site, key, service.auditor.watermark))
 
-        service = StreamService.create(
-            tmp_path / "s", make_config(), chaos_hook=hook
-        )
+        monkeypatch.setattr("repro.stream.service.chaos_point", point)
+        service = StreamService.create(tmp_path / "s", make_config())
         service.ingest([("b0", [insert(0, 0, 1)])])
-        # At both chaos windows the batch was journalled but the watermark
+        # At the chaos window the batch was journalled but the watermark
         # still points before it — readers cannot see a half-applied batch.
-        assert [s for s, _ in stages] == ["post-append", "pre-apply"]
-        assert all(mark == 0 for _, mark in stages)
+        assert points == [("stream.append", "b0", 0)]
         assert service.auditor.watermark == 1
         service.close()
 
