@@ -172,8 +172,8 @@ def test_engine_depth(benchmark, depth):
 
     The naive engine is hopeless here (``3^depth`` regions each re-counted
     from data), so only the two count-reusing engines are compared — with
-    the full report lists asserted identical, pinning the bitset/pruning/
-    scaled-cache fast paths to byte-identical results at every depth.
+    the full report lists asserted identical, pinning the count-cube
+    kernel to byte-identical results at every depth.
     """
     data = generate(
         make_scalability_config(

@@ -2,29 +2,32 @@
 
 Nodes group all patterns sharing the same *deterministic attribute set*;
 a node at level ``d`` holds one cell per value combination of its ``d``
-attributes.  Counts of positives and negatives per cell are materialised as
-``d``-dimensional numpy arrays: the leaf node is one ``bincount`` over the
-dataset's joint codes, and every other node is a marginalisation (axis sum)
-of a one-level-deeper node — this is the count-sharing that the optimized
-and vectorized identification algorithms exploit (a dominating region's
-counts are just a cell of an ancestor node's array).
+attributes.  All nodes live in **one count cube** (the CUBE operator's
+ALL value; Gray et al., "Data Cube", ICDE 1996): two int64 arrays of
+shape ``∏(cᵢ+1)`` over the hierarchy attributes, where index ``cᵢ`` on
+axis ``i`` means "attribute ``i`` is free".  A node's ``pos``/``neg`` are
+basic-index views of the cube — ``0:cᵢ`` on the node's axes, ``cᵢ`` on
+every other axis — so every region of every node is one cube cell, and a
+dominating region's counts are the cell reached by moving the freed axes
+to their ALL index.  The cube holds exactly the cells of all ``2^D``
+nodes (``∏(cᵢ+1) = Σ_S ∏_{i∈S} cᵢ``).
 
 Two cost-relevant properties (see ``docs/performance.md``):
 
-* **Construction** marginalises each node from its *smallest* already-built
-  one-level-deeper superset, one axis at a time, instead of summing the full
-  leaf array for every one of the ``2^d`` nodes; the per-node cost decays
-  geometrically with the level instead of staying at ``O(leaf cells)``.
-* **Incremental updates**: :meth:`Hierarchy.apply_count_delta` folds a
-  leaf-granular count change into every node in place, touching only the
-  changed cells, so the remedy loop (once per node plan) and the stream
-  auditor (once per batch) keep one hierarchy current instead of
-  rebuilding it from scratch after every edit.
+* **Construction** counts the leaf once (``Dataset.region_counts``) and
+  fills the ALL slots in place with one axis sum per attribute: ``D``
+  sums instead of ``2^D`` marginalisations.
+* **Incremental updates**: :meth:`Hierarchy.apply_count_delta` scatters a
+  leaf-granular count change into the cube — each changed leaf cell adds
+  to its ``2^D`` projections — so the remedy loop (once per node plan) and
+  the stream auditor (once per batch) keep one hierarchy current instead
+  of rebuilding it from scratch after every edit.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,17 +36,14 @@ from repro.data.dataset import Dataset
 from repro.core.pattern import Pattern
 from repro.errors import PatternError
 
-#: Attribute bitsets are packed into a single machine word.
-MAX_ATTRS = 64
-
 
 class HierarchyNode:
     """One node: a deterministic attribute set plus per-cell label counts.
 
-    ``mask`` is the node's uint64 attribute bitset (bit ``i`` set when the
-    hierarchy's ``i``-th attribute is deterministic here) — the vectorized
-    engine addresses dominating nodes by clearing bits from it instead of
-    building ``frozenset`` keys per drop-subset.
+    ``pos``/``neg`` are views into the hierarchy's count cube; in-place
+    writes reach the cube, and nothing may rebind them.  ``cube_base`` and
+    ``cube_strides`` place the node's cells in the cube's flat index (see
+    :meth:`cube_cells`).
     """
 
     def __init__(
@@ -52,13 +52,15 @@ class HierarchyNode:
         shape: tuple[int, ...],
         pos: np.ndarray,
         neg: np.ndarray,
-        mask: int = 0,
+        cube_base: int,
+        cube_strides: tuple[int, ...],
     ):
         self.attrs = attrs
         self.shape = shape
         self.pos = pos  # ndarray of shape `shape` (0-d for the root)
         self.neg = neg
-        self.mask = mask
+        self.cube_base = cube_base
+        self.cube_strides = cube_strides
         self._max_cell_size: int | None = None
 
     @property
@@ -69,10 +71,9 @@ class HierarchyNode:
     def max_cell_size(self) -> int:
         """Largest ``|r+| + |r-|`` over this node's cells (cached).
 
-        Lets the lattice traversal prune empty branches — deep nodes whose
-        every cell is below the size threshold — without re-reducing the
-        count arrays on every identification pass.  The cache is
-        invalidated by :meth:`Hierarchy.apply_count_delta`.
+        Lets the per-node scoring step skip nodes whose every cell is below
+        the size threshold without re-reducing the count arrays on every
+        pass.  The cache is invalidated by :meth:`Hierarchy.apply_count_delta`.
         """
         if self._max_cell_size is None:
             self._max_cell_size = int((self.pos + self.neg).max())
@@ -81,6 +82,17 @@ class HierarchyNode:
     @property
     def n_cells(self) -> int:
         return int(np.prod(self.shape)) if self.shape else 1
+
+    def cube_cells(self, flat: np.ndarray) -> np.ndarray:
+        """Cube flat indices of this node's cells given by node flat indices."""
+        flat = np.asarray(flat, dtype=np.int64)
+        out = np.full(flat.shape, self.cube_base, dtype=np.int64)
+        if self.shape:
+            for coord, stride in zip(
+                np.unravel_index(flat, self.shape), self.cube_strides
+            ):
+                out += coord * stride
+        return out
 
     def coords_of(self, pattern: Pattern) -> tuple[int, ...]:
         """Cell coordinates of ``pattern`` (must cover exactly this node)."""
@@ -130,10 +142,11 @@ class Hierarchy:
         The dataset whose label counts populate the nodes.
     attrs:
         Attribute universe; defaults to ``dataset.protected``.  Order fixes
-        the canonical attribute order of every node.
+        the canonical attribute order of every node and the cube's axes.
     max_level:
-        Build nodes only up to this level (inclusive); ``None`` builds the
-        full lattice of ``2^|attrs|`` nodes (root included).
+        Expose nodes only up to this level (inclusive); ``None`` exposes
+        the full lattice of ``2^|attrs|`` nodes (root included).  The count
+        cube always holds every level.
     """
 
     def __init__(
@@ -147,10 +160,10 @@ class Hierarchy:
         attrs = tuple(attrs)
         if not attrs:
             raise PatternError("hierarchy needs at least one attribute")
-        if len(attrs) > MAX_ATTRS:
+        repeated = sorted({a for a in attrs if attrs.count(a) > 1})
+        if repeated:
             raise PatternError(
-                f"hierarchy supports at most {MAX_ATTRS} attributes "
-                f"(uint64 bitset), got {len(attrs)}"
+                f"hierarchy attributes must be distinct; repeated: {repeated}"
             )
         dataset.schema.require_categorical(attrs)
         self.attrs = attrs
@@ -158,109 +171,123 @@ class Hierarchy:
         if self.max_level < 1:
             raise PatternError("max_level must be >= 1")
 
-        # Leaf counts once; every other node is built by marginalising its
-        # smallest already-built one-level-deeper superset a single axis at
-        # a time (geometrically cheaper than summing the full leaf array for
-        # each of the 2^d nodes).
         pos_flat, neg_flat, shape = dataset.region_counts(attrs)
-        leaf_pos = pos_flat.reshape(shape)
-        leaf_neg = neg_flat.reshape(shape)
-
+        self.cards = tuple(int(c) for c in shape)
+        self._card = dict(zip(attrs, self.cards))
+        self._fill_cube(pos_flat.reshape(shape), neg_flat.reshape(shape))
+        self._index_cells()
+        #: Node views, made on first lookup: an audit that scores the cube
+        #: directly never pays for them.
         self._nodes: dict[frozenset[str], HierarchyNode] = {}
-        self._nodes_by_mask: dict[int, HierarchyNode] = {}
-        self._levels: dict[int, list[HierarchyNode]] = {}
-        axis_of = {a: i for i, a in enumerate(attrs)}
-        self._card = {a: shape[axis_of[a]] for a in attrs}
-        self._bit_of = {a: 1 << i for i, a in enumerate(attrs)}
 
-        # Deepest stored level comes straight from the leaf array (it *is*
-        # the leaf array when max_level == len(attrs)).
-        for subset in itertools.combinations(attrs, self.max_level):
-            drop_axes = tuple(axis_of[a] for a in attrs if a not in subset)
-            pos = leaf_pos.sum(axis=drop_axes) if drop_axes else leaf_pos
-            neg = leaf_neg.sum(axis=drop_axes) if drop_axes else leaf_neg
-            self._add_node(subset, np.asarray(pos), np.asarray(neg))
-
-        for level in range(self.max_level - 1, -1, -1):
-            for subset in itertools.combinations(attrs, level):
-                spare = min(
-                    (a for a in attrs if a not in subset),
-                    key=lambda a: (self._card[a], axis_of[a]),
-                )
-                parent_attrs = tuple(
-                    a for a in attrs if a in subset or a == spare
-                )
-                parent = self._nodes[frozenset(parent_attrs)]
-                axis = parent_attrs.index(spare)
-                self._add_node(
-                    subset, parent.pos.sum(axis=axis), parent.neg.sum(axis=axis)
-                )
-
-    def _add_node(
-        self, subset: tuple[str, ...], pos: np.ndarray, neg: np.ndarray
-    ) -> None:
-        """Register one node in the lookup dicts and the level index."""
-        mask = 0
-        for a in subset:
-            mask |= self._bit_of[a]
-        node = HierarchyNode(
-            subset,
-            tuple(self._card[a] for a in subset),
-            np.asarray(pos),
-            np.asarray(neg),
-            mask=mask,
+    def _fill_cube(self, leaf_pos: np.ndarray, leaf_neg: np.ndarray) -> None:
+        """The count cube from the leaf counts: the leaf block plus ALL slots."""
+        cube_shape = tuple(c + 1 for c in self.cards)
+        # Every cell is written below: the leaf block, then each ALL slot
+        # exactly once.
+        self.cube_pos = np.empty(cube_shape, dtype=np.int64)
+        self.cube_neg = np.empty(cube_shape, dtype=np.int64)
+        #: Element stride of each cube axis in the cube's C-order flat index.
+        self.cube_strides = tuple(
+            int(np.prod(cube_shape[i + 1:], dtype=np.int64))
+            for i in range(len(cube_shape))
         )
-        self._nodes[frozenset(subset)] = node
-        self._nodes_by_mask[mask] = node
-        self._levels.setdefault(len(subset), []).append(node)
+        span = [slice(0, c) for c in self.cards]
+        self.cube_pos[tuple(span)] = leaf_pos
+        self.cube_neg[tuple(span)] = leaf_neg
+        # One axis sum per attribute.  Each sum covers only the slots
+        # already filled, so after it every cell whose free axes are among
+        # the axes summed so far holds its marginal.  Largest cardinality
+        # first keeps the summed spans smallest.
+        for axis in sorted(range(len(self.cards)), key=lambda a: (-self.cards[a], -a)):
+            values = tuple(span)
+            free = values[:axis] + (self.cards[axis],) + values[axis + 1:]
+            for cube in (self.cube_pos, self.cube_neg):
+                np.sum(cube[values], axis=axis, out=cube[free + (Ellipsis,)])
+            span[axis] = slice(0, self.cards[axis] + 1)
+
+    def _index_cells(self) -> None:
+        """Lookup tables behind :meth:`cell_nodes` and its siblings.
+
+        A flat cube index splits at the middle axis into two small indices
+        (``hi``, ``lo``); each addresses per-axis tables over its half of
+        the axes, so a cell's coordinates, freeing offsets and node cost one
+        gather each instead of a chain of integer divisions.
+        """
+        cube_shape = self.cube_pos.shape
+        self._split = (len(cube_shape) + 1) // 2
+        self._half = self.cube_strides[self._split - 1]
+        self._coords: list[np.ndarray] = []
+        self._nodes_of: list[np.ndarray] = []
+        first = 0
+        for half in (cube_shape[: self._split], cube_shape[self._split:]):
+            grid = np.indices(half).reshape(len(half), int(np.prod(half)))
+            node = np.zeros(grid.shape[1], dtype=np.int64)
+            for axis, coords in enumerate(grid, start=first):
+                self._coords.append(coords)
+                node |= (coords < self.cards[axis]).astype(np.int64) << axis
+            self._nodes_of.append(node)
+            first += len(half)
+        self._free = [
+            (card - coords) * stride
+            for coords, card, stride in zip(self._coords, self.cards, self.cube_strides)
+        ]
+        masks = np.arange(1 << len(self.attrs), dtype=np.int64)
+        #: Level (number of fixed axes) of each node bitmask of :meth:`cell_nodes`.
+        self.mask_levels = sum((masks >> a) & 1 for a in range(len(self.attrs)))
+        #: Axes in attribute-name order (a pattern's item order), and per
+        #: axis the ``(attr, code)`` item of each code with None for ALL.
+        self._by_name = sorted(range(len(self.attrs)), key=self.attrs.__getitem__)
+        self._items = [
+            [(a, code) for code in range(card)] + [None]
+            for a, card in zip(self.attrs, self.cards)
+        ]
+
+    def _make_node(self, key: frozenset[str]) -> HierarchyNode:
+        """One node's cube views: ``0:cᵢ`` on its axes, ``cᵢ`` elsewhere."""
+        axes = [i for i, a in enumerate(self.attrs) if a in key]
+        index: list = list(self.cards)  # every axis free ...
+        base = self.cube_pos.size - 1  # ... is the root cell
+        for a in axes:
+            index[a] = slice(0, self.cards[a])
+            base -= self.cards[a] * self.cube_strides[a]
+        index.append(Ellipsis)  # keeps the root a 0-d view, not a scalar copy
+        return HierarchyNode(
+            tuple(self.attrs[a] for a in axes),
+            tuple(self.cards[a] for a in axes),
+            self.cube_pos[tuple(index)],
+            self.cube_neg[tuple(index)],
+            base,
+            tuple(self.cube_strides[a] for a in axes),
+        )
 
     # -- lookup ----------------------------------------------------------------
     def node(self, attrs: Sequence[str] | frozenset[str]) -> HierarchyNode:
         """Node for the given deterministic attribute set."""
         key = frozenset(attrs)
-        try:
-            return self._nodes[key]
-        except KeyError:
-            raise PatternError(
-                f"no hierarchy node for attribute set {sorted(key)}"
-            ) from None
-
-    def attr_bit(self, attr: str) -> int:
-        """The uint64 bitset bit of one hierarchy attribute."""
-        try:
-            return self._bit_of[attr]
-        except KeyError:
-            raise PatternError(
-                f"{attr!r} is not a hierarchy attribute {list(self.attrs)}"
-            ) from None
-
-    def node_by_mask(self, mask: int) -> HierarchyNode:
-        """Node for an attribute bitset (the vectorized engine's hot lookup).
-
-        A bitset probe on an int-keyed dict replaces hashing a
-        ``frozenset`` of strings per drop-subset — the per-node constant
-        that dominates deep-lattice traversal at Hamming budget 1.
-        """
-        try:
-            return self._nodes_by_mask[mask]
-        except KeyError:
-            raise PatternError(
-                f"no hierarchy node for attribute bitset {mask:#x}"
-            ) from None
+        node = self._nodes.get(key)
+        if node is None:
+            if key not in self:
+                raise PatternError(
+                    f"no hierarchy node for attribute set {sorted(key)}"
+                )
+            node = self._nodes[key] = self._make_node(key)
+        return node
 
     def __contains__(self, attrs: object) -> bool:
         if isinstance(attrs, (frozenset, set, tuple, list)):
-            return frozenset(attrs) in self._nodes
+            key = frozenset(attrs)
+            return key <= set(self.attrs) and len(key) <= self.max_level
         return False
 
     @property
     def root(self) -> HierarchyNode:
         """The level-0 node (the entire dataset)."""
-        return self._nodes[frozenset()]
+        return self.node(())
 
     @property
     def n_nodes(self) -> int:
-        return len(self._nodes)
+        return sum(comb(len(self.attrs), level) for level in range(self.max_level + 1))
 
     def levels(self) -> range:
         """Levels with region nodes: 1 .. max_level."""
@@ -269,10 +296,12 @@ class Hierarchy:
     def nodes_at_level(self, level: int) -> list[HierarchyNode]:
         """All nodes whose attribute set has the given size.
 
-        Served from a level index built at construction time (no scan of
-        the full node dict); nodes appear in canonical combination order.
+        A fresh list in canonical combination order (empty past
+        ``max_level``).
         """
-        return list(self._levels.get(level, ()))
+        if not 0 <= level <= self.max_level:
+            return []
+        return [self.node(subset) for subset in itertools.combinations(self.attrs, level)]
 
     def iter_nodes_bottom_up(self) -> Iterator[HierarchyNode]:
         """Region nodes from the leaf level down to level 1 (Alg. 1 order)."""
@@ -284,13 +313,50 @@ class Hierarchy:
         out = []
         for drop in node.attrs:
             key = frozenset(node.attrs) - {drop}
-            if key in self._nodes:
-                out.append(self._nodes[key])
+            if key in self:
+                out.append(self.node(key))
         return out
 
     def counts_of(self, pattern: Pattern) -> tuple[int, int]:
         """``(|r+|, |r-|)`` of an arbitrary pattern over hierarchy attrs."""
         return self.node(pattern.attrs).counts_of(pattern)
+
+    # -- cube cells --------------------------------------------------------------
+    def _lookup(
+        self, tables: list[np.ndarray], cells: np.ndarray, axes: Sequence[int]
+    ) -> list[np.ndarray]:
+        hi = cells // self._half
+        lo = cells - hi * self._half
+        return [tables[a][hi if a < self._split else lo] for a in axes]
+
+    def cell_free_offsets(
+        self, cells: np.ndarray, axes: Sequence[int]
+    ) -> list[np.ndarray]:
+        """Per axis in ``axes``, the flat-index move that frees it.
+
+        ``(cᵢ − xᵢ)·strideᵢ``: zero where the cell already leaves axis ``i``
+        free.
+        """
+        return self._lookup(self._free, cells, axes)
+
+    def cell_nodes(self, cells: np.ndarray) -> np.ndarray:
+        """Each cube cell's node as a bitmask of its fixed axes."""
+        hi = cells // self._half
+        return self._nodes_of[0][hi] | self._nodes_of[1][cells - hi * self._half]
+
+    def cell_patterns(self, cells: np.ndarray) -> list[Pattern]:
+        """The region pattern of each cube cell, in ``cells`` order."""
+        cells = np.asarray(cells, dtype=np.int64)
+        if cells.size == 0:
+            return []
+        fixed = int(np.bitwise_or.reduce(self.cell_nodes(cells)))
+        axes = [a for a in self._by_name if fixed >> a & 1]
+        items = [self._items[a] for a in axes]
+        rows = np.stack(self._lookup(self._coords, cells, axes), axis=1).tolist()
+        return [
+            Pattern.from_sorted(tuple(filter(None, map(list.__getitem__, items, row))))
+            for row in rows
+        ]
 
     # -- incremental updates ---------------------------------------------------
     def _free_attrs(self, pattern: Pattern) -> tuple[str, ...]:
@@ -323,24 +389,21 @@ class Hierarchy:
     def apply_count_delta(
         self, pattern: Pattern, dpos: np.ndarray, dneg: np.ndarray
     ) -> None:
-        """Fold a leaf-granular count change inside ``pattern`` into all nodes.
+        """Fold a leaf-granular count change inside ``pattern`` into the cube.
 
         ``dpos``/``dneg`` are integer arrays over the pattern's free
         attributes (the shape returned by :meth:`region_leaf_counts`),
         holding per-leaf-cell changes of the positive/negative counts; cells
         outside the pattern's slice must be unchanged — which is exactly the
         contract the remedy samplers satisfy, since every row they add,
-        drop, or flip matches the remedied region's pattern.  Every stored
-        node is updated in place, leaving the hierarchy equal to one freshly
-        built from the edited dataset.
+        drop, or flip matches the remedied region's pattern.  The cube is
+        updated in place, leaving the hierarchy equal to one freshly built
+        from the edited dataset.
 
-        The fold touches only the delta's non-zero cells: their coordinates
-        are projected onto each node and scattered with ``np.add.at``, so a
-        call costs O(changed cells × nodes), not O(leaf cells × nodes).  A
-        remedy node plan changes ~0.5% of the 57,600 cells of the Adult
-        leaf; a stream batch over a small leaf may change most of them, and
-        there the scatter is still no slower than marginalising the whole
-        delta onto every node.
+        Only the delta's non-zero cells are touched: each changed leaf cell
+        adds to its ``2^D`` projections (its own cube index plus every sum
+        of its per-axis freeing offsets), all scattered in one
+        ``np.add.at``, so a call costs O(changed cells × 2^D).
         """
         free = self._free_attrs(pattern)
         want_shape = tuple(self._card[a] for a in free)
@@ -349,27 +412,27 @@ class Hierarchy:
         changed = np.flatnonzero((dpos != 0) | (dneg != 0))
         if changed.size == 0:
             return
-        fixed = pattern.assignment
-        # Each changed cell's coordinate per attribute; fixed ones are ints.
         coords = np.unravel_index(changed, want_shape) if free else ()
-        where = dict(zip(free, coords), **fixed)
-        vpos = dpos.reshape(-1)[changed]
-        vneg = dneg.reshape(-1)[changed]
-        # Iterate the bitset index, not the frozenset one: it is the index
-        # the vectorized engine's node_by_mask pruning reads, so every node
-        # reachable there — ancestors included — must see both the count
-        # update and the max_cell_size cache invalidation, or a branch a
-        # delta emptied (or filled) would be mis-pruned on the next
-        # vectorized identify.
-        for node in self._nodes_by_mask.values():
-            idx = tuple(where[a] for a in node.attrs)
-            if fixed.keys() >= set(node.attrs):
-                # One cell of this node holds the whole delta.
-                node.pos[idx] += vpos.sum()
-                node.neg[idx] += vneg.sum()
-            else:
-                np.add.at(node.pos, idx, vpos)
-                np.add.at(node.neg, idx, vneg)
+        where = dict(zip(free, coords), **pattern.assignment)
+        # One row per changed cell; doubling the columns once per axis
+        # enumerates all 2^D subsets of freed axes.
+        targets = np.zeros((changed.size, 1), dtype=np.int64)
+        for a, card, stride in zip(self.attrs, self.cards, self.cube_strides):
+            coord = np.broadcast_to(where[a], changed.shape).reshape(-1, 1)
+            targets += coord * stride
+            targets = np.concatenate(
+                [targets, targets + (card - coord) * stride], axis=1
+            )
+        copies = targets.shape[1]
+        np.add.at(
+            self.cube_pos.reshape(-1), targets.reshape(-1),
+            np.repeat(dpos.reshape(-1)[changed], copies),
+        )
+        np.add.at(
+            self.cube_neg.reshape(-1), targets.reshape(-1),
+            np.repeat(dneg.reshape(-1)[changed], copies),
+        )
+        for node in self._nodes.values():
             node._max_cell_size = None  # counts changed; recompute lazily
 
     def dominating_counts(

@@ -4,11 +4,17 @@ Traverses the hierarchy bottom-up (leaf level → level 1), keeps regions with
 more than ``k`` instances, computes each region's imbalance score and its
 neighbourhood's, and reports the regions whose difference exceeds ``tau_c``.
 The neighbourhood engine is selectable (``naive`` per §III-A, ``optimized``
-per §III-B, ``vectorized`` — whole-node array evaluation of the §III-B sum,
-see ``docs/performance.md``) as is the traversal *scope* used in the
-evaluation's ablation: ``lattice`` (all levels — the paper's method),
-``leaf`` (deepest level only), ``top`` (level 1 only).  All three engines
-return identical report lists on every input.
+per §III-B, ``vectorized`` — the §III-B sum over the hierarchy's count cube
+for every candidate region at once, see ``docs/performance.md``) as is the
+traversal *scope* used in the evaluation's ablation: ``lattice`` (all
+levels — the paper's method), ``leaf`` (deepest level only), ``top``
+(level 1 only).  All three engines return identical report lists on every
+input, and raise the same error on a negative count.
+
+The vectorized engine has one scoring path, :func:`score_cube_cells`,
+shared by the audit (:func:`lattice_biased_reports`: every in-scope cube
+cell with ``|r| > k`` in one pass), the remedy's per-node step
+(:func:`node_biased_reports`) and the stream's dirty-cell re-score.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ from repro.core.imbalance import (
 )
 from repro.core.neighbors import (
     EUCLIDEAN_UNIT,
+    cell_neighbor_counts,
     naive_neighbor_counts,
     naive_neighbor_counts_scan,
     optimized_neighbor_counts,
-    vectorized_neighbor_counts,
 )
 from repro.core.pattern import Pattern
 from repro.data.dataset import Dataset
@@ -125,9 +131,10 @@ def region_report(
     every neighbour from the raw ``dataset`` (required in that mode unless a
     non-default ``metric`` forces the array-walk fallback); ``'optimized'``
     reuses the hierarchy's dominating-region counts (§III-B).
-    ``'vectorized'`` batches whole nodes and is identical to
+    ``'vectorized'`` batches candidate cells and is identical to
     ``'optimized'`` for a single region, so it shares that path here; use
-    :func:`node_biased_reports` to benefit from the batching.
+    :func:`identify_ibs` or :func:`node_biased_reports` to benefit from the
+    batching.
     """
     if method in (METHOD_OPTIMIZED, METHOD_VECTORIZED):
         npos, nneg = optimized_neighbor_counts(hierarchy, pattern, T)
@@ -159,19 +166,19 @@ def score_cells(
     nneg: np.ndarray,
     tau_c: float,
     k: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Score every cell of a node at once from its own and neighbour counts.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score cells at once from their own and neighbour counts.
 
-    Returns ``(ratio, nratio, difference, size_ok, biased)`` arrays of the
-    counts' shape: the Definition-3 imbalance scores (``-1`` sentinel), the
-    sentinel-aware score difference, the ``|r| > k`` size test, and the
-    Definition-5 membership test.  Entry for entry these equal
-    :func:`~repro.core.imbalance.imbalance_score`,
+    Returns ``(ratio, nratio, difference, biased)`` arrays of the counts'
+    shape: the Definition-3 imbalance scores (``-1`` sentinel), the
+    sentinel-aware score difference, and the Definition-5 membership test
+    (``|r| > k`` and a difference above ``tau_c``).  Entry for entry these
+    equal :func:`~repro.core.imbalance.imbalance_score`,
     :func:`~repro.core.imbalance.score_difference` and
     :func:`~repro.core.imbalance.is_biased` on the same integers (same
-    IEEE-754 ratios and differences).  Counts are not checked for sign;
-    callers that need :func:`imbalance_score`'s check make it on the cells
-    they report.
+    IEEE-754 ratios and differences).  Counts are not checked for sign
+    here: the kernel behind :func:`score_cube_cells` makes
+    :func:`imbalance_score`'s check on every cell it scores.
     """
     if tau_c < 0:
         raise ValueError(f"tau_c must be non-negative, got {tau_c}")
@@ -189,58 +196,68 @@ def score_cells(
     difference = np.where(r_undef & n_undef, 0.0, difference)
 
     biased = size_ok & (difference > tau_c)
-    return ratio, nratio, difference, size_ok, biased
+    return ratio, nratio, difference, biased
 
 
-def _vectorized_biased_reports(
+def score_cube_cells(
+    hierarchy: Hierarchy, cells: np.ndarray, tau_c: float, T: float, k: int
+) -> tuple[np.ndarray, ...]:
+    """Score count-cube cells: the one vectorized scoring path.
+
+    One :func:`~repro.core.neighbors.cell_neighbor_counts` call and one
+    :func:`score_cells` over ``cells`` (flat cube indices).  Returns
+    ``(pos, neg, ratio, npos, nneg, nratio, difference, biased)`` vectors —
+    a :class:`RegionReport`'s fields after its pattern, then the
+    Definition-5 test.
+    """
+    pos = hierarchy.cube_pos.reshape(-1)[cells]
+    neg = hierarchy.cube_neg.reshape(-1)[cells]
+    npos, nneg = cell_neighbor_counts(hierarchy, cells, T)
+    ratio, nratio, difference, biased = score_cells(pos, neg, npos, nneg, tau_c, k)
+    return pos, neg, ratio, npos, nneg, nratio, difference, biased
+
+
+def _biased_cell_reports(
+    hierarchy: Hierarchy, cells: np.ndarray, tau_c: float, T: float, k: int
+) -> list[RegionReport]:
+    """Reports of the biased ones among ``cells``, in ``cells`` order.
+
+    Built from ``.tolist()`` columns: the same Python ints and IEEE-754
+    floats the scalar engines compute.
+    """
+    *fields, biased = score_cube_cells(hierarchy, cells, tau_c, T, k)
+    hit = np.flatnonzero(biased)
+    columns = (field[hit].tolist() for field in fields)
+    return [
+        RegionReport(*row)
+        for row in zip(hierarchy.cell_patterns(cells[hit]), *columns)
+    ]
+
+
+def lattice_biased_reports(
     hierarchy: Hierarchy,
-    node: HierarchyNode,
     tau_c: float,
     T: float,
     k: int,
-    cache: dict | None = None,
+    levels: Sequence[int],
 ) -> list[RegionReport]:
-    """Biased regions of one node via whole-array evaluation.
+    """Biased regions of every level in ``levels`` from one kernel pass.
 
-    Computes neighbour counts, imbalance scores, the sentinel-aware score
-    difference, and the Definition-5 membership test as array expressions
-    over the node's count arrays; only surviving cells are materialised
-    into :class:`RegionReport` objects, in the same flat cell order the
-    scalar engines visit.  Produces reports identical to the per-region
-    path (same integers, same IEEE-754 ratios and differences).
-
-    Empty lattice branches are pruned *before* any broadcasting: a node
-    whose largest cell is already ≤ ``k`` (cached on the node) cannot
-    contain a reportable region, which at depth 10–12 — where cells vastly
-    outnumber rows — skips almost every node.  ``cache`` is threaded to
-    :func:`~repro.core.neighbors.vectorized_neighbor_counts` for
-    scaled-ancestor reuse across the sibling nodes of a level.
+    The candidates are the count-cube cells with ``|r| > k`` at those
+    levels — the only cells Definition 5 can hold for — scored all at
+    once.  Reports come in cube order; :func:`identify_ibs` sorts them.
     """
-    if tau_c < 0:
-        raise ValueError(f"tau_c must be non-negative, got {tau_c}")
-    if node.max_cell_size <= k:
-        return []
-    pos, neg = node.pos, node.neg
-    npos, nneg = vectorized_neighbor_counts(hierarchy, node, T, cache=cache)
-    ratio, nratio, difference, _size_ok, biased = score_cells(
-        pos, neg, npos, nneg, tau_c, k
-    )
-    reports = []
-    for flat in np.flatnonzero(biased.reshape(-1)):
-        coords = np.unravel_index(int(flat), node.shape) if node.shape else ()
-        coords = tuple(int(c) for c in coords)
-        reports.append(
-            RegionReport(
-                pattern=node.pattern_of(coords),
-                pos=int(pos[coords]),
-                neg=int(neg[coords]),
-                ratio=float(ratio[coords]),
-                neighbor_pos=int(npos[coords]),
-                neighbor_neg=int(nneg[coords]),
-                neighbor_ratio=float(nratio[coords]),
-                difference=float(difference[coords]),
-            )
-        )
+    total = (hierarchy.cube_pos + hierarchy.cube_neg).reshape(-1)
+    cells = np.flatnonzero(total > k)
+    nodes = hierarchy.cell_nodes(cells)
+    in_scope = np.zeros(len(hierarchy.attrs) + 1, dtype=bool)
+    in_scope[list(levels)] = True
+    keep = in_scope[hierarchy.mask_levels[nodes]]
+    cells = cells[keep]
+    obs.count("ibs.nodes_scanned", np.count_nonzero(np.bincount(nodes[keep])))
+    obs.count("ibs.regions_scanned", cells.size)
+    reports = _biased_cell_reports(hierarchy, cells, tau_c, T, k)
+    obs.count("ibs.biased_regions", len(reports))
     return reports
 
 
@@ -252,33 +269,40 @@ def node_biased_reports(
     k: int = DEFAULT_MIN_SIZE,
     method: str = METHOD_OPTIMIZED,
     dataset: Dataset | None = None,
-    cache: dict | None = None,
 ) -> list[RegionReport]:
     """Biased regions of size > ``k`` within one hierarchy node.
 
-    The shared per-node step of Algorithm 1 (``identify_ibs``) and
-    Algorithm 2 (``remedy_dataset``): under ``method='vectorized'`` the
-    whole node is evaluated as array expressions; the scalar engines fall
-    back to per-region :func:`region_report` calls.  Reports are returned
-    in the node's flat cell order (callers sort by score difference).
-    ``cache`` (vectorized only) carries scaled ancestor arrays across the
-    sibling nodes of a level; it must not outlive a count mutation.
+    Algorithm 2's per-node step (``remedy_dataset``, line 3).  Under
+    ``method='vectorized'`` the node's cells with ``|r| > k`` are scored
+    through the count-cube kernel, and a node whose largest cell is ≤ ``k``
+    returns at once; the scalar engines fall back to per-region
+    :func:`region_report` calls.  Reports are returned in the node's flat
+    cell order (callers sort by score difference).
     """
-    obs.count("ibs.nodes_scanned")
-    obs.count("ibs.regions_scanned", node.n_cells)
     if method == METHOD_VECTORIZED:
-        reports = _vectorized_biased_reports(
-            hierarchy, node, tau_c, T, k, cache=cache
-        )
+        if tau_c < 0:
+            raise ValueError(f"tau_c must be non-negative, got {tau_c}")
+        if node.max_cell_size <= k:
+            return []
+        total = (node.pos + node.neg).reshape(-1)
+        cells = node.cube_cells(np.flatnonzero(total > k))
+        obs.count("ibs.nodes_scanned")
+        obs.count("ibs.regions_scanned", cells.size)
+        reports = _biased_cell_reports(hierarchy, cells, tau_c, T, k)
         obs.count("ibs.biased_regions", len(reports))
         return reports
     reports = []
+    scanned = 0
     for pattern, pos, neg in node.iter_regions(min_size=k + 1):
+        scanned += 1
         report = region_report(
             hierarchy, node, pattern, pos, neg, T, method=method, dataset=dataset
         )
         if is_biased(report.ratio, report.neighbor_ratio, tau_c):
             reports.append(report)
+    if scanned:
+        obs.count("ibs.nodes_scanned")
+        obs.count("ibs.regions_scanned", scanned)
     obs.count("ibs.biased_regions", len(reports))
     return reports
 
@@ -308,7 +332,10 @@ def identify_ibs(
         Size threshold; only regions with ``|r| > k`` are considered.
     scope / method:
         Traversal scope (lattice / leaf / top) and neighbourhood engine
-        (optimized / naive / vectorized).
+        (optimized / naive / vectorized).  ``vectorized`` scores every
+        in-scope candidate cell of the lattice in one kernel pass
+        (:func:`lattice_biased_reports`); the scalar engines visit node by
+        node.
     hierarchy:
         Optionally a pre-built hierarchy over the same data (reused across
         calls by the remedy loop).
@@ -324,21 +351,23 @@ def identify_ibs(
         if hierarchy is None:
             with obs.span("ibs.build_hierarchy"):
                 hierarchy = Hierarchy(dataset, attrs=attrs)
+        levels = scope_levels(hierarchy, scope)
+        by_level: dict[int, list[RegionReport]] = {}
+        if method == METHOD_VECTORIZED:
+            for report in lattice_biased_reports(hierarchy, tau_c, T, k, levels):
+                by_level.setdefault(report.pattern.level, []).append(report)
         found: list[RegionReport] = []
-        for level in scope_levels(hierarchy, scope):
+        for level in levels:
             with obs.span("ibs.level", level=level) as level_span:
-                level_reports: list[RegionReport] = []
-                # Scaled-ancestor arrays are shared across a level's
-                # sibling nodes (same coefficients, overlapping ancestors)
-                # and dropped at the level boundary.
-                level_cache: dict = {}
-                for node in hierarchy.nodes_at_level(level):
-                    level_reports.extend(
-                        node_biased_reports(
-                            hierarchy, node, tau_c, T=T, k=k, method=method,
-                            dataset=dataset, cache=level_cache,
+                level_reports = by_level.get(level, [])
+                if method != METHOD_VECTORIZED:
+                    for node in hierarchy.nodes_at_level(level):
+                        level_reports.extend(
+                            node_biased_reports(
+                                hierarchy, node, tau_c, T=T, k=k,
+                                method=method, dataset=dataset,
+                            )
                         )
-                    )
                 level_reports.sort(key=report_sort_key)
                 level_span.annotate(biased=len(level_reports))
                 found.extend(level_reports)

@@ -10,12 +10,13 @@ counts of the union of regions within distance ``T`` of a region ``r``:
   coefficients, the §III-B optimisation that touches only ``O(d^T)``
   pre-aggregated regions.  For ``T=1`` it reduces to the paper's formula
   ``ratio_rn = (Σ_{R_d}|r_k+| − |R_d|·|r+|) / (Σ_{R_d}|r_k-| − |R_d|·|r-|)``;
-* :func:`vectorized_neighbor_counts` evaluates the same inclusion–exclusion
-  sum for **all cells of a node at once**: the dominating counts of every
-  cell with drop-set ``S`` form the ancestor node's whole array, re-expanded
-  over the dropped axes and broadcast back to the node's shape, so one
-  ``C(d, ≤budget)``-term sum of whole-array operations replaces
-  ``|cells| × C(d, ≤budget)`` scalar lookups (see ``docs/performance.md``).
+* :func:`cell_neighbor_counts` — the vectorized engine's one kernel —
+  evaluates the same inclusion–exclusion sum for **any set of count-cube
+  cells at once**, from any mix of nodes and levels: freeing axis set ``S``
+  moves a cell by a per-cell flat offset, so each term is one gather over
+  all cells (see ``docs/performance.md``).  Callers pass only candidates
+  (``|r| > k``, dirty cells in the stream);
+  :func:`vectorized_neighbor_counts` is the kernel over all of one node.
 
 Distance semantics: attribute values are one unit apart, so a region
 differing from ``r`` in ``j`` attributes lies at Euclidean distance
@@ -35,6 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.hierarchy import Hierarchy, HierarchyNode
+from repro.core.imbalance import imbalance_score
 from repro.core.pattern import Pattern
 from repro.errors import PatternError
 
@@ -189,70 +191,133 @@ def optimized_neighbor_counts(
     return pos, neg
 
 
+def _inverse_binomial(n: int, m: int) -> int:
+    """Coefficient of ``x^m`` in ``(1 + x)^(−n)``."""
+    return 1 if m == 0 else (-1) ** m * comb(n + m - 1, m)
+
+
+def _subset_weights(
+    n_axes: int, levels: np.ndarray, T: float
+) -> list[int | np.ndarray]:
+    """Per-cell weight of each subset size in :func:`cell_neighbor_counts`.
+
+    The kernel gathers, for every subset ``A`` of the ``D`` axes it works
+    on (``n_axes``) with ``|A| ≤ budget``, the cell reached by freeing
+    ``A``.  Freeing an axis the cell already leaves free moves nowhere, so
+    for a level-``d`` cell the size-``j`` gathers sum to
+    ``G_j = Σ_i C(D−d, j−i) · H_i``,
+    where ``H_i = Σ_{|S|=i} dom(S)`` runs over the cell's own fixed axes.
+    Inverting that binomial convolution gives the neighbourhood count
+    ``N = Σ_i coeff_d(i) · H_i = Σ_j w_d(j) · G_j`` with
+    ``w_d(j) = Σ_{i≥j} coeff_d(i) · [x^{i−j}](1+x)^{−(D−d)}``.  At budget 1
+    this is ``w(0) = −D, w(1) = 1`` for every level.  Entry ``j`` is an int
+    when every cell shares it, else an array over the cells.
+    """
+    present = np.flatnonzero(np.bincount(levels, minlength=n_axes + 1)).tolist()
+    rows: dict[int, list[int]] = {}
+    for d in present:
+        budget = hamming_budget(T, d)
+        coeffs = inclusion_exclusion_coefficients(d, budget)
+        rows[d] = [
+            sum(
+                coeffs[i] * _inverse_binomial(n_axes - d, i - j)
+                for i in range(j, budget + 1)
+            )
+            for j in range(budget + 1)
+        ]
+    weights: list[int | np.ndarray] = []
+    for j in range(max(len(row) for row in rows.values())):
+        table = np.zeros(n_axes + 1, dtype=np.int64)
+        for d, row in rows.items():
+            table[d] = row[j] if j < len(row) else 0
+        if len({int(table[d]) for d in present}) == 1:
+            weights.append(int(table[present[0]]))
+        else:
+            weights.append(table[levels])
+    return weights
+
+
+def _freed(
+    cells: np.ndarray, free: list[np.ndarray], max_size: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``(|A|, cells + Σ_{a∈A} free[a])`` for every axis subset, 1 ≤ |A| ≤ max_size."""
+    stack = [(cells, 0, 0)]
+    while stack:
+        index, size, first = stack.pop()
+        for axis in range(first, len(free)):
+            moved = index + free[axis]
+            yield size + 1, moved
+            if size + 1 < max_size:
+                stack.append((moved, size + 1, axis + 1))
+
+
+def cell_neighbor_counts(
+    hierarchy: Hierarchy, cells: np.ndarray, T: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbourhood counts of count-cube cells from any mix of nodes and levels.
+
+    ``cells`` are flat indices into the hierarchy's count cube; each must
+    be a region (level ≥ 1).  Freeing axis set ``S`` moves cell ``x`` to
+    ``x + Σ_{a∈S}(c_a − x_a)·stride_a``, so each inclusion–exclusion term
+    of :func:`optimized_neighbor_counts` is one gather over all cells, with
+    per-cell weights by level (:func:`_subset_weights`).  At Hamming budget
+    1 — every ``T < √2``, the paper's ``T = 1`` included — that is
+    ``N = Σ_a gather_a − D·own`` with no per-cell weights at all.
+
+    Returns int64 ``(npos, nneg)`` vectors aligned with ``cells``; entry
+    ``i`` is exactly ``optimized_neighbor_counts`` of cell ``i``'s pattern.
+    A negative own or neighbour count on any of the cells raises
+    :func:`~repro.core.imbalance.imbalance_score`'s ``ValueError``.
+    """
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1)
+    if cells.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    flat_pos = hierarchy.cube_pos.reshape(-1)
+    flat_neg = hierarchy.cube_neg.reshape(-1)
+    own_pos, own_neg = flat_pos[cells], flat_neg[cells]
+    nodes = hierarchy.cell_nodes(cells)
+    if not nodes.all():
+        hamming_budget(T, 0)  # raises: the root (every axis free) is no region
+    # Freeing an axis that every cell leaves free moves no cell: skip it.
+    fixed_somewhere = int(np.bitwise_or.reduce(nodes))
+    free = hierarchy.cell_free_offsets(
+        cells, [a for a in range(len(hierarchy.attrs)) if fixed_somewhere >> a & 1]
+    )
+    if hamming_budget(T, len(free)) == 1:
+        weights: list[int | np.ndarray] = [-len(free), 1]  # every level
+    else:
+        weights = _subset_weights(len(free), hierarchy.mask_levels[nodes], T)
+    npos = weights[0] * own_pos
+    nneg = weights[0] * own_neg
+    for size, moved in _freed(cells, free, len(weights) - 1):
+        weight = weights[size]
+        if isinstance(weight, int) and weight == 0:
+            continue
+        if isinstance(weight, int) and weight == 1:
+            npos += flat_pos[moved]
+            nneg += flat_neg[moved]
+        else:
+            npos += weight * flat_pos[moved]
+            nneg += weight * flat_neg[moved]
+    if min(own_pos.min(), own_neg.min(), npos.min(), nneg.min()) < 0:
+        i = int(np.flatnonzero(
+            (own_pos < 0) | (own_neg < 0) | (npos < 0) | (nneg < 0)
+        )[0])
+        imbalance_score(int(own_pos[i]), int(own_neg[i]))
+        imbalance_score(int(npos[i]), int(nneg[i]))
+    return npos, nneg
+
+
 def vectorized_neighbor_counts(
-    hierarchy: Hierarchy,
-    node: HierarchyNode,
-    T: float = 1.0,
-    cache: dict | None = None,
+    hierarchy: Hierarchy, node: HierarchyNode, T: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Neighbourhood counts of **every cell** of ``node`` as two arrays.
 
-    Evaluates the same inclusion–exclusion expansion as
-    :func:`optimized_neighbor_counts`, but per drop-subset ``S`` the
-    dominating counts of all cells at once are the ancestor node's array
-    with size-1 axes re-inserted at ``S``'s positions and broadcast back to
-    ``node.shape``.  The whole node therefore costs ``Σ_{j≤budget} C(d, j)``
-    array additions instead of that many scalar lookups *per cell*.
-
-    Deep-lattice fast paths (all byte-identical to the plain expansion,
-    since int64 accumulation is exact in any order):
-
-    * dominating nodes are addressed by **uint64 bitset** (clearing the
-      dropped axes' bits from ``node.mask``) instead of hashing a
-      ``frozenset`` of attribute names per drop-subset;
-    * coefficients ``±1`` add/subtract the ancestor's array view directly,
-      skipping the scaling multiply — at Hamming budget 1 that covers
-      every ``j ≥ 1`` term;
-    * other coefficients scale each ancestor array **once per**
-      ``(ancestor, coefficient)`` into ``cache`` (thread one dict across
-      the sibling nodes of a level, as :func:`repro.core.ibs.identify_ibs`
-      does): siblings re-expand the shared scaled array as an O(1) view
-      instead of re-multiplying it per node.
-
-    Returns ``(pos, neg)`` int64 arrays of ``node.shape``; entry ``c`` is
-    exactly ``optimized_neighbor_counts(hierarchy, node.pattern_of(c), T)``.
-    Requires the hierarchy to contain every node up to ``budget`` levels
-    above ``node`` (always true for a full hierarchy) and ``node`` to be a
-    region node (level ≥ 1).
+    :func:`cell_neighbor_counts` over all of the node's cells.  Returns
+    ``(pos, neg)`` int64 arrays of ``node.shape``; entry ``c`` is exactly
+    ``optimized_neighbor_counts(hierarchy, node.pattern_of(c), T)``.
+    ``node`` must be a region node (level ≥ 1).
     """
-    d = node.level
-    budget = hamming_budget(T, d)
-    coeffs = inclusion_exclusion_coefficients(d, budget)
-    bits = tuple(hierarchy.attr_bit(a) for a in node.attrs)
-
-    pos = np.zeros(node.shape, dtype=np.int64)
-    neg = np.zeros(node.shape, dtype=np.int64)
-    for j in range(0, budget + 1):
-        c = coeffs[j]
-        if c == 0:
-            continue
-        for axes in itertools.combinations(range(d), j):
-            drop_mask = 0
-            for ax in axes:
-                drop_mask |= bits[ax]
-            dom = hierarchy.node_by_mask(node.mask ^ drop_mask)
-            if c == 1:
-                pos += np.expand_dims(dom.pos, axis=axes)
-                neg += np.expand_dims(dom.neg, axis=axes)
-            elif c == -1:
-                pos -= np.expand_dims(dom.pos, axis=axes)
-                neg -= np.expand_dims(dom.neg, axis=axes)
-            else:
-                scaled = None if cache is None else cache.get((dom.mask, c))
-                if scaled is None:
-                    scaled = (c * dom.pos, c * dom.neg)
-                    if cache is not None:
-                        cache[(dom.mask, c)] = scaled
-                pos += np.expand_dims(scaled[0], axis=axes)
-                neg += np.expand_dims(scaled[1], axis=axes)
-    return pos, neg
+    cells = node.cube_cells(np.arange(node.n_cells))
+    npos, nneg = cell_neighbor_counts(hierarchy, cells, T)
+    return npos.reshape(node.shape), nneg.reshape(node.shape)

@@ -38,6 +38,19 @@ class Pattern:
 
     # -- constructors ---------------------------------------------------------
     @classmethod
+    def from_sorted(cls, items: tuple[tuple[str, int], ...]) -> "Pattern":
+        """Build from items already in canonical form, skipping the checks.
+
+        ``items`` must be sorted by attribute, assign each attribute once
+        and hold non-negative ``int`` codes — as the hierarchy's count-cube
+        cells do.  Report building calls this once per biased region.
+        """
+        pattern = object.__new__(cls)
+        pattern._items = items
+        pattern._hash = hash(items)
+        return pattern
+
+    @classmethod
     def from_labels(cls, schema: Schema, assignment: Mapping[str, str]) -> "Pattern":
         """Build from ``{attr: label}`` using the schema's domains."""
         items = []

@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.data.dataset import Dataset
 from repro.data.io import CHAOS_ENV, atomic_write_json
 from repro.data.store.format import (
     LABELS_FILE,
@@ -43,6 +44,7 @@ from repro.data.store.registry import Registry
 from repro.data.synth import load_compas
 from repro.errors import InternalError, TransportError
 from repro.experiments.robustness import run_seed_sweep
+from repro.obs import Tracer, tracing
 from repro.resilience.executor import (
     BACKEND_INPROC,
     BACKEND_PROCESS,
@@ -69,12 +71,15 @@ REPRO = (sys.executable, "-m", "repro")
 TIMEOUT = 300.0
 KILLED = -signal.SIGKILL
 
-#: Robustness sweeps: rows, seeds, per-cell deadline (generous against a
-#: loaded box, yet bounding the hang cell) and pool size.
+#: Robustness sweeps: rows, seeds and pool size.  The per-cell deadline is
+#: DEADLINE_FACTOR times the slowest cell of a timed clean sweep of the same
+#: cells, never under DEADLINE_FLOOR seconds: generous against a loaded box,
+#: yet a hung cell is killed within seconds (see faulted_sweep).
 SWEEP_ROWS = 800
 SMOKE_SEEDS = (0, 1, 2)
 CHAOS_SEEDS = (0, 1, 2, 3, 4)
-SWEEP_DEADLINE = 30.0
+DEADLINE_FACTOR = 10.0
+DEADLINE_FLOOR = 5.0
 WORKERS = 2
 
 #: The stream workload, and the batch the stream and gateway plans arm.
@@ -469,19 +474,43 @@ def _resumed_as_clean(lab: Lab, work: Path, out: bytes) -> None:
 
 # -- worker sweeps ----------------------------------------------------------------
 
-def faulted_sweep(faults: FaultPlan, backend: str, seeds: tuple[int, ...]) -> str:
+def _timed_clean_sweep(data: Dataset, seeds: tuple[int, ...]) -> tuple[float, str]:
+    """A clean in-process sweep: its per-cell deadline and its table.
+
+    The deadline is :data:`DEADLINE_FACTOR` times the slowest cell's wall
+    time, read from the executor's ``cell`` spans, and at least
+    :data:`DEADLINE_FLOOR` seconds.
+    """
+    tracer = Tracer()
+    with tracing(tracer):
+        table = run_seed_sweep(data, "ProPublica", seeds=seeds).table()
+    slowest = max(span.wall for span in tracer.spans if span.name == "cell")
+    return max(DEADLINE_FLOOR, DEADLINE_FACTOR * slowest), table
+
+
+def faulted_sweep(
+    faults: FaultPlan | Callable[[float], FaultPlan],
+    backend: str,
+    seeds: tuple[int, ...],
+) -> str:
     """Run a robustness sweep under ``faults`` and return its table.
 
+    ``faults`` is a plan, or a function from the per-cell deadline to a
+    plan (so a hang can be scaled to it); the deadline comes from a timed
+    clean in-process sweep of the same cells (:func:`_timed_clean_sweep`).
     Every cell must complete, each faulted cell with exactly one extra
-    attempt and every other cell in one, and the table must equal a clean
-    in-process sweep's byte for byte.  On the process backend the dataset
-    must have gone through shared memory and ``/dev/shm`` must be clean
-    after ``close()``.
+    attempt and every other cell in one, and the table must equal the
+    clean sweep's byte for byte.  On the process backend the dataset must
+    have gone through shared memory and ``/dev/shm`` must be clean after
+    ``close()``.
     """
     data = load_compas(SWEEP_ROWS, seed=11)
+    deadline, clean = _timed_clean_sweep(data, seeds)
+    if callable(faults):
+        faults = faults(deadline)
     executor = CellExecutor(
         policy=RetryPolicy(max_attempts=3, retry_timeouts=True),
-        deadline=SWEEP_DEADLINE,
+        deadline=deadline,
         faults=faults,
         backend=backend,
         max_workers=WORKERS,
@@ -507,7 +536,7 @@ def faulted_sweep(faults: FaultPlan, backend: str, seeds: tuple[int, ...]) -> st
         if published_segments():
             raise InternalError(f"close() left segments published: {published_segments()}")
         assert_no_shm_leaks("worker chaos + executor.close()")
-    if result.table() != run_seed_sweep(data, "ProPublica", seeds=seeds).table():
+    if result.table() != clean:
         raise InternalError("faulted sweep table diverges from the clean in-process sweep")
     return result.table()
 
@@ -518,15 +547,18 @@ def _transient_sweep(lab: Lab) -> None:
     print(faulted_sweep(faults, BACKEND_INPROC, SMOKE_SEEDS))
 
 
-def _worker_chaos_sweep(lab: Lab) -> None:
-    faults = FaultPlan(
+def _worker_faults(deadline: float) -> FaultPlan:
+    return FaultPlan(
         cells={
             ("robustness", "0"): CrashFault(mode=CRASH_EXIT),
             ("robustness", "1"): CrashFault(mode=CRASH_SIGKILL),
-            ("robustness", "2"): HangFault(seconds=10 * SWEEP_DEADLINE),
+            ("robustness", "2"): HangFault(seconds=10 * deadline),
         }
     )
-    print(faulted_sweep(faults, BACKEND_PROCESS, CHAOS_SEEDS))
+
+
+def _worker_chaos_sweep(lab: Lab) -> None:
+    print(faulted_sweep(_worker_faults, BACKEND_PROCESS, CHAOS_SEEDS))
 
 
 # -- gateway drills ---------------------------------------------------------------

@@ -7,7 +7,7 @@ audit.  Applying a batch is O(deltas), independent of the total row count:
 1. every delta updates the :class:`~repro.stream.state.StreamState` row
    store and accumulates into a leaf-granular count-delta array;
 2. one :meth:`~repro.core.hierarchy.Hierarchy.apply_count_delta` call
-   folds the batch's delta into every hierarchy node in place;
+   folds the batch's delta into the hierarchy's count cube in place;
 3. the **dirty-region tracker** maps each changed leaf cell to the cells
    whose score the change can affect: in a node ``N``, a changed leaf
    cell ``c`` perturbs the projection ``proj_N(c)`` itself plus every
@@ -17,12 +17,12 @@ audit.  Applying a batch is O(deltas), independent of the total row count:
    changed cells are marked in a boolean leaf array, projected onto the
    node with ``any`` over the dropped axes, and grown to the Hamming ball
    by ORing ``any(axis=S, keepdims=True)`` over the ``C(d, budget)`` axis
-   subsets ``S``.  The node is then scored as whole arrays — the
-   vectorized engine's :func:`~repro.core.neighbors.vectorized_neighbor_counts`
-   and :func:`~repro.core.ibs.score_cells` — and only its dirty cells are
-   materialised into reports, in C order (which is sorted coordinate
-   order).  A node whose largest cell is ≤ ``k`` skips the neighbour
-   counts: every dirty cell there is below the size threshold.
+   subsets ``S``.  The dirty cells of all nodes — nodes bottom-up, cells
+   in C order (which is sorted coordinate order) — are mapped to count-
+   cube indices, and those with ``|r| > k`` are scored in one call of the
+   vectorized engine's scoring path
+   (:func:`~repro.core.ibs.score_cube_cells`); a dirty cell with
+   ``|r| ≤ k`` observes ``None``.
 
 The resulting report set — and its ordering — is pinned byte-identical to
 a from-scratch ``identify_ibs`` over the materialised data by a
@@ -41,17 +41,15 @@ import numpy as np
 
 from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.ibs import (
-    METHOD_VECTORIZED,
     RegionReport,
-    node_biased_reports,
+    lattice_biased_reports,
     # Not called here, but layer tracers wrap it under this module's name
     # (bench/layers.py), so it stays bound.
     region_report,
     report_sort_key,
-    score_cells,
+    score_cube_cells,
 )
-from repro.core.imbalance import imbalance_score
-from repro.core.neighbors import hamming_budget, vectorized_neighbor_counts
+from repro.core.neighbors import hamming_budget
 from repro.core.pattern import Pattern
 from repro.errors import DeltaError, JournalError, StreamError
 from repro.obs import trace as obs
@@ -85,10 +83,11 @@ class StreamAuditor:
         self._leaf_shape = config.schema.cardinalities(config.protected)
         #: pattern -> current RegionReport for every biased region.
         self._biased: dict[Pattern, RegionReport] = {}
-        #: node mask -> (dropped leaf axes, Hamming-ball axis subsets,
+        #: node attrs -> (dropped leaf axes, Hamming-ball axis subsets,
         #: flat cell index -> Pattern memo); see :meth:`_node_plan`.
         self._plans: dict[
-            int, tuple[tuple[int, ...], list[tuple[int, ...]], dict[int, Pattern]]
+            tuple[str, ...],
+            tuple[tuple[int, ...], list[tuple[int, ...]], dict[int, Pattern]],
         ] = {}
         self.applied_ids: set[str] = set()
         self.watermark = 0
@@ -155,25 +154,26 @@ class StreamAuditor:
     ) -> list[tuple[Pattern, RegionReport | None]]:
         """Re-score exactly the regions the changed leaf cells can affect.
 
-        One masked array pass per node (see the module docstring).  Visits
-        nodes bottom-up in canonical order and dirty cells in C order —
-        the sorted order of their coordinate tuples — so the observation
-        sequence, and therefore the monitor's event order, is a pure
-        function of the batch.  The data checks of the scalar path hold: a
-        negative own or neighbour count on a scored cell raises
+        One masked array pass per node finds its dirty cells (see the
+        module docstring); the dirty cells of all nodes are then scored in
+        one :func:`~repro.core.ibs.score_cube_cells` call over those with
+        ``|r| > k``.  Nodes are visited bottom-up in canonical order and
+        dirty cells in C order — the sorted order of their coordinate
+        tuples — so the observation sequence, and therefore the monitor's
+        event order, is a pure function of the batch.  A dirty cell with
+        ``|r| ≤ k`` observes ``None``.  The data checks of the scalar path
+        hold: a negative own or neighbour count on a scored cell raises
         :func:`~repro.core.imbalance.imbalance_score`'s ``ValueError``, and
         a negative ``tau_c`` raises in :func:`~repro.core.ibs.score_cells`.
         """
         observations: list[tuple[Pattern, RegionReport | None]] = []
         if not changed:
             return observations
-        k, T = self.config.k, self.config.T
         leaf = np.zeros(self._leaf_shape, dtype=bool)
         leaf[tuple(zip(*changed))] = True
+        patterns: list[Pattern] = []
+        dirty_cells: list[np.ndarray] = []
         for level in range(self.hierarchy.max_level, 0, -1):
-            # Scaled-ancestor arrays shared by a level's sibling nodes, as in
-            # identify_ibs; the counts do not change while this pass runs.
-            cache: dict = {}
             for node in self.hierarchy.nodes_at_level(level):
                 drop, balls, memo = self._node_plan(node)
                 proj = leaf.any(axis=drop)
@@ -181,44 +181,31 @@ class StreamAuditor:
                 for axes in balls:
                     dirty |= proj.any(axis=axes, keepdims=True)
                 flat = np.flatnonzero(dirty)
-                patterns = self._patterns(node, memo, flat.tolist())
-                if node.max_cell_size <= k:
-                    for pattern in patterns:
-                        self._biased.pop(pattern, None)
-                        observations.append((pattern, None))
-                    continue
-                npos, nneg = vectorized_neighbor_counts(
-                    self.hierarchy, node, T, cache=cache
-                )
-                ratio, nratio, difference, size_ok, biased = score_cells(
-                    node.pos, node.neg, npos, nneg, self.config.tau_c, k
-                )
-                columns = (
-                    arr.ravel()[flat].tolist()
-                    for arr in (
-                        size_ok, biased, node.pos, node.neg, ratio,
-                        npos, nneg, nratio, difference,
-                    )
-                )
-                for pattern, ok, is_b, pos, neg, r, n_pos, n_neg, n_r, diff in zip(
-                    patterns, *columns
-                ):
-                    if not ok:
-                        self._biased.pop(pattern, None)
-                        observations.append((pattern, None))
-                        continue
-                    if pos < 0 or neg < 0 or n_pos < 0 or n_neg < 0:
-                        # Corrupt counts: raise the scalar path's error.
-                        imbalance_score(pos, neg)
-                        imbalance_score(n_pos, n_neg)
-                    report = RegionReport(
-                        pattern, pos, neg, r, n_pos, n_neg, n_r, diff
-                    )
-                    if is_b:
-                        self._biased[pattern] = report
-                    else:
-                        self._biased.pop(pattern, None)
-                    observations.append((pattern, report))
+                patterns.extend(self._patterns(node, memo, flat.tolist()))
+                dirty_cells.append(node.cube_cells(flat))
+        cells = np.concatenate(dirty_cells)
+        total = (
+            self.hierarchy.cube_pos.reshape(-1)[cells]
+            + self.hierarchy.cube_neg.reshape(-1)[cells]
+        )
+        scored = total > self.config.k
+        *fields, biased = score_cube_cells(
+            self.hierarchy, cells[scored], self.config.tau_c, self.config.T,
+            self.config.k,
+        )
+        rows = zip(biased.tolist(), *(field.tolist() for field in fields))
+        for pattern, ok in zip(patterns, scored.tolist()):
+            if not ok:
+                self._biased.pop(pattern, None)
+                observations.append((pattern, None))
+                continue
+            is_biased, *values = next(rows)
+            report = RegionReport(pattern, *values)
+            if is_biased:
+                self._biased[pattern] = report
+            else:
+                self._biased.pop(pattern, None)
+            observations.append((pattern, report))
         return observations
 
     def _node_plan(
@@ -229,14 +216,14 @@ class StreamAuditor:
         Depends only on the node's attribute set, so it outlives hierarchy
         rebuilds; the memo holds at most one pattern per lattice cell.
         """
-        plan = self._plans.get(node.mask)
+        plan = self._plans.get(node.attrs)
         if plan is None:
             drop = tuple(
                 ax for a, ax in self._axis_of.items() if a not in node.attrs
             )
             budget = hamming_budget(self.config.T, node.level)
             balls = list(itertools.combinations(range(node.level), budget))
-            plan = self._plans[node.mask] = (drop, balls, {})
+            plan = self._plans[node.attrs] = (drop, balls, {})
         return plan
 
     @staticmethod
@@ -255,16 +242,17 @@ class StreamAuditor:
         return out
 
     def rescore_all(self) -> None:
-        """Rebuild the biased-region map from the current counts (rebase load)."""
-        self._biased = {}
-        for level in range(self.hierarchy.max_level, 0, -1):
-            cache: dict = {}
-            for node in self.hierarchy.nodes_at_level(level):
-                for report in node_biased_reports(
-                    self.hierarchy, node, self.config.tau_c, T=self.config.T,
-                    k=self.config.k, method=METHOD_VECTORIZED, cache=cache,
-                ):
-                    self._biased[report.pattern] = report
+        """Rebuild the biased-region map from the current counts (rebase load).
+
+        The same one-pass lattice scoring as ``identify_ibs``.
+        """
+        self._biased = {
+            report.pattern: report
+            for report in lattice_biased_reports(
+                self.hierarchy, self.config.tau_c, self.config.T,
+                self.config.k, range(self.hierarchy.max_level, 0, -1),
+            )
+        }
 
     # -- reading ------------------------------------------------------------------
     def reports(self) -> list[RegionReport]:

@@ -27,6 +27,19 @@ class TestStructure:
         with pytest.raises(PatternError):
             Hierarchy(toy_dataset, attrs=())
 
+    def test_repeated_attribute_rejected_before_counting(self, monkeypatch):
+        from repro.data.dataset import Dataset
+        from repro.data.synth import load_adult
+
+        data = load_adult(2000, seed=1)
+
+        def no_counting(*args, **kwargs):
+            raise AssertionError("counted a hierarchy with a repeated attribute")
+
+        monkeypatch.setattr(Dataset, "region_counts", no_counting)
+        with pytest.raises(PatternError, match="repeated: \\['age'\\]"):
+            Hierarchy(data, attrs=("age", "age"))
+
     def test_bottom_up_order(self, toy_dataset):
         h = Hierarchy(toy_dataset)
         levels = [n.level for n in h.iter_nodes_bottom_up()]
@@ -217,42 +230,47 @@ class TestIncrementalUpdates:
             h.region_leaf_counts(biased_dataset, Pattern([("zz", 0)]))
 
 
+def _vectorized_per_node(hierarchy, tau_c, k):
+    """Every node's vectorized biased regions, bottom-up (the remedy's walk)."""
+    from repro.core.ibs import METHOD_VECTORIZED, node_biased_reports
+
+    return [
+        report
+        for node in hierarchy.iter_nodes_bottom_up()
+        for report in node_biased_reports(
+            hierarchy, node, tau_c, k=k, method=METHOD_VECTORIZED
+        )
+    ]
+
+
 class TestMaxCellSizeInvalidation:
     """A delta that empties or fills a branch must not be mis-pruned.
 
-    ``_vectorized_biased_reports`` skips whole nodes via the cached
-    ``max_cell_size``; ``apply_count_delta`` must invalidate that cache on
-    every node the vectorized engine's bitset index can reach, or a branch
-    a delta emptied (or grew past ``k``) keeps its stale prune decision on
-    the next vectorized identify.
+    The vectorized per-node step (``node_biased_reports``) skips whole nodes
+    via the cached ``max_cell_size``; ``apply_count_delta`` must invalidate
+    that cache on every node, or a branch a delta emptied (or grew past
+    ``k``) keeps its stale prune decision on the next vectorized pass.
     """
 
     def test_emptied_branch_matches_fresh_rebuild(self, biased_dataset):
-        from repro.core import identify_ibs
-        from repro.core.ibs import METHOD_VECTORIZED
-
         h = Hierarchy(biased_dataset)
-        identify_ibs(biased_dataset, 0.2, k=10, method=METHOD_VECTORIZED,
-                     hierarchy=h)  # populate every node's cache
+        _vectorized_per_node(h, 0.2, k=10)  # populate every node's cache
         # Drop every row of the planted skew cell (a=0, b=0).
         pattern = Pattern([("a", 0), ("b", 0)])
         idx = np.flatnonzero(pattern.mask(biased_dataset))
         edited = biased_dataset.drop(idx)
         before = h.region_leaf_counts(biased_dataset, pattern)
         h.apply_count_delta(pattern, -before[0], -before[1])
-        stale = identify_ibs(edited, 0.2, k=10, method=METHOD_VECTORIZED,
-                             hierarchy=h)
-        fresh = identify_ibs(edited, 0.2, k=10, method=METHOD_VECTORIZED)
+        stale = _vectorized_per_node(h, 0.2, k=10)
+        fresh = _vectorized_per_node(Hierarchy(edited), 0.2, k=10)
         assert stale == fresh
 
     def test_filled_branch_is_rescanned_not_skipped(self):
-        from repro.core import identify_ibs
-        from repro.core.ibs import METHOD_VECTORIZED
         from repro.data import schema_from_domains
         from repro.data.dataset import Dataset
 
         # Start so small that every node caches max_cell_size <= k and the
-        # vectorized engine prunes the whole lattice.
+        # per-node step skips the whole lattice.
         schema = schema_from_domains({"a": ("a0", "a1"), "b": ("b0", "b1")})
         tiny = Dataset(
             schema,
@@ -261,8 +279,7 @@ class TestMaxCellSizeInvalidation:
             protected=("a", "b"),
         )
         h = Hierarchy(tiny)
-        assert identify_ibs(tiny, 0.1, k=3, method=METHOD_VECTORIZED,
-                            hierarchy=h) == []
+        assert _vectorized_per_node(h, 0.1, k=3) == []
         # Grow cell (a=0, b=0) well past k with all-positive rows; every
         # ancestor node's cached bound is now stale-low.
         grown = tiny.append_rows(
@@ -277,8 +294,7 @@ class TestMaxCellSizeInvalidation:
         after = h.region_leaf_counts(grown, pattern)
         before = h.region_leaf_counts(tiny, pattern)
         h.apply_count_delta(pattern, after[0] - before[0], after[1] - before[1])
-        stale = identify_ibs(grown, 0.1, k=3, method=METHOD_VECTORIZED,
-                             hierarchy=h)
-        fresh = identify_ibs(grown, 0.1, k=3, method=METHOD_VECTORIZED)
+        stale = _vectorized_per_node(h, 0.1, k=3)
+        fresh = _vectorized_per_node(Hierarchy(grown), 0.1, k=3)
         assert stale == fresh
         assert stale, "the grown all-positive branch must be reported"

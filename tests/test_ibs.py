@@ -1,11 +1,14 @@
 """Unit tests for repro.core.ibs (Problem 1 / Algorithm 1)."""
 
+import hashlib
+import json
 import math
 
 import pytest
 
 from repro.core import (
     METHODS,
+    SCOPES,
     Hierarchy,
     Pattern,
     dominated_biased_regions,
@@ -15,7 +18,9 @@ from repro.core import (
     scope_levels,
 )
 from repro.data.synth import load_adult, load_compas, load_lawschool
+from repro.data.synth.adult import SCALABILITY_PROTECTED
 from repro.errors import PatternError
+from repro.obs import Tracer, tracing
 
 
 class TestIdentify:
@@ -73,9 +78,8 @@ class TestIdentify:
         """All three engines return identical reports at depth 9-12.
 
         Binary protected attributes keep the naive engine tractable while
-        the lattice (``3^depth`` regions) exercises the deep-lattice fast
-        paths: bitset node addressing, ``max_cell_size`` branch pruning,
-        and the scaled-ancestor cache.
+        the lattice (``3^depth`` regions, one count-cube cell each) has the
+        vectorized engine score candidates spread over ``2^depth`` nodes.
         """
         from repro.data.synth.generic import generate, make_scalability_config
 
@@ -162,3 +166,103 @@ class TestSkewAndDominance:
         dominated = dominated_biased_regions(subgroup, ibs)
         assert all(r.pattern.is_dominated_by(subgroup) for r in dominated)
         assert any(r.pattern == Pattern([("a", 0), ("b", 0)]) for r in dominated)
+
+
+def reports_digest(reports) -> str:
+    """sha256 of a report list as the benchmark digests it (floats via repr)."""
+    payload = [
+        [
+            list(r.pattern.items), r.pos, r.neg, repr(r.ratio),
+            r.neighbor_pos, r.neighbor_neg, repr(r.neighbor_ratio),
+            repr(r.difference),
+        ]
+        for r in reports
+    ]
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def adult8_3000():
+    return load_adult(3000).with_protected(SCALABILITY_PROTECTED)
+
+
+class TestPinnedReports:
+    """Vectorized report lists on 3,000 Adult rows over the 8 Fig. 9
+    attributes, pinned byte for byte to the whole-node engine that preceded
+    the count-cube kernel.  The settings cover Hamming budget 1 (T = 1, 1.5),
+    a budget that varies by level (T = 2) and the whole node (T = 3), k = 0
+    (every populated cell a candidate), and the three scopes."""
+
+    @pytest.mark.parametrize(
+        "T, k, tau_c, scope, n_reports, digest",
+        [
+            (1.0, 30, 0.3, "lattice", 403, "25cb5de37eb1545d0163d1fcd784744cc271b11ae768be7ea6a59b56e5407356"),
+            (2.0, 30, 0.3, "lattice", 663, "469d4d36ba54ccab4cfd7b9595d01526e30d0cec4eb94aec425262ec4736f225"),
+            (1.0, 5, 0.1, "lattice", 12355, "00bebe7f444e46a265b8f6d94dec7edad5cb11ce8e02cede58effbcea0fab8ff"),
+            (1.5, 10, 0.5, "lattice", 939, "40755aa7abc47d6f4a6b4c4a53b2f434824bbebc8342c8c57141e05848dcc0f8"),
+            (3.0, 0, 0.2, "lattice", 55599, "2e892d456e86c0081383f1b31efc8e2c4242c5498c8ba6b24ad206eda29548bd"),
+            (1.0, 5, 0.1, "leaf", 45, "d54ded19909b50820f102eacc9673ca976e5c9a395e6ced0aba7c76607ba600d"),
+            (1.0, 5, 0.1, "top", 18, "9ebe0f64e4d80463f1c36c9c8ef1995a5c2b95f4efbcebe773702ce1c1e67d6b"),
+        ],
+    )
+    def test_reports_digest(self, adult8_3000, T, k, tau_c, scope, n_reports, digest):
+        reports = identify_ibs(
+            adult8_3000, tau_c, T=T, k=k, scope=scope, method="vectorized"
+        )
+        assert len(reports) == n_reports
+        assert reports_digest(reports) == digest
+
+
+class TestNegativeCounts:
+    """A corrupt (negative) count on a scored region raises the same
+    ``imbalance_score`` error under every engine, never a report."""
+
+    @pytest.fixture
+    def corrupt(self):
+        data = load_adult(3000, seed=1).with_protected(("age", "race", "gender"))
+        hierarchy = Hierarchy(data)
+        node = hierarchy.nodes_at_level(1)[0]
+        node.neg[0] = -5  # Pattern(age=0): 87 positives
+        return data, hierarchy, node
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_identify_ibs_raises(self, corrupt, method):
+        data, hierarchy, _ = corrupt
+        with pytest.raises(ValueError, match="counts must be non-negative"):
+            identify_ibs(data, 0.1, k=5, method=method, hierarchy=hierarchy)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_node_biased_reports_raises(self, corrupt, method):
+        data, hierarchy, node = corrupt
+        with pytest.raises(ValueError, match=r"counts must be non-negative, got \(87, -5\)"):
+            node_biased_reports(
+                hierarchy, node, 0.1, k=5, method=method, dataset=data
+            )
+
+
+class TestScanCounters:
+    """``ibs.regions_scanned`` counts the candidate regions scored — those
+    with ``|r| > k`` at an in-scope level — and ``ibs.nodes_scanned`` the
+    nodes holding one, under every engine."""
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_counters_are_candidates_under_every_engine(self, scope):
+        data = load_adult(1000, seed=2).with_protected(("age", "race", "gender"))
+        k = 10
+        hierarchy = Hierarchy(data)
+        sizes = [
+            int(((node.pos + node.neg) > k).sum())
+            for level in scope_levels(hierarchy, scope)
+            for node in hierarchy.nodes_at_level(level)
+        ]
+        want = {
+            "ibs.nodes_scanned": sum(1 for n in sizes if n),
+            "ibs.regions_scanned": sum(sizes),
+        }
+        for method in METHODS:
+            tracer = Tracer()
+            with tracing(tracer):
+                identify_ibs(data, 0.2, k=k, scope=scope, method=method)
+            totals = tracer.metric_totals()
+            assert {name: totals[name] for name in want} == want, method

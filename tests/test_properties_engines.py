@@ -1,15 +1,20 @@
 """Property tests: the three neighbourhood engines are extensionally equal.
 
-Random small datasets (with a knob that plants all-positive cells so the
-``ratio = -1`` sentinel path is exercised) must yield
+Random small datasets over 2–5 attributes of 1–4 values (a one-value
+domain gives a cube axis with one value and ALL), with a knob that plants
+all-positive cells so the ``ratio = -1`` sentinel path is exercised, must
+yield
 
 * identical ``(pos, neg)`` neighbour counts from naive, optimized, and
   vectorized counting for every region, every level 1..d, and
   ``T ∈ {1, √2, 2}``;
-* identical IBS report lists from ``identify_ibs`` under every engine;
+* identical IBS report lists from ``identify_ibs`` under every engine, for
+  any scope, attribute subset, ``T ∈ {1, √2, 2, 3}`` and ``k`` from 0 to
+  past the largest cell;
 * an incrementally updated hierarchy equal to a freshly built one after
   each remedy iteration (checked via the ``incremental=False`` oracle and
-  by replaying remedy-style edits step by step).
+  by replaying remedy-style edits step by step), its count cube included,
+  with the per-node vectorized step still equal to the optimized one.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    SCOPES,
     Hierarchy,
     Pattern,
     identify_ibs,
     naive_neighbor_counts,
+    node_biased_reports,
     optimized_neighbor_counts,
     remedy_dataset,
     vectorized_neighbor_counts,
@@ -35,13 +42,15 @@ from repro.data import Dataset, schema_from_domains
 pytestmark = pytest.mark.slow
 
 THRESHOLDS = (1.0, sqrt(2.0), 2.0)
+#: Budget 1 everywhere, 2 from level 2, up to 4 from level 4, the whole node.
+KERNEL_THRESHOLDS = (1.0, sqrt(2.0), 2.0, 3.0)
 
 
 @st.composite
 def engine_datasets(draw):
     """Random categorical dataset; may plant an all-positive cell."""
-    n_attrs = draw(st.integers(2, 3))
-    cards = [draw(st.integers(2, 4)) for __ in range(n_attrs)]
+    n_attrs = draw(st.integers(2, 5))
+    cards = [draw(st.integers(1, 4)) for __ in range(n_attrs)]
     n_rows = draw(st.integers(20, 120))
     seed = draw(st.integers(0, 10_000))
     plant_all_positive = draw(st.booleans())
@@ -87,6 +96,26 @@ class TestThreeEngineEquivalence:
         naive = identify_ibs(dataset, 0.2, T=T, k=k, method="naive")
         opt = identify_ibs(dataset, 0.2, T=T, k=k, method="optimized")
         vec = identify_ibs(dataset, 0.2, T=T, k=k, method="vectorized")
+        assert naive == opt == vec
+
+    @settings(max_examples=30, deadline=None)
+    @given(engine_datasets(), st.data())
+    def test_identify_ibs_any_scope_attrs_T_k(self, dataset, data):
+        scope = data.draw(st.sampled_from(SCOPES))
+        attrs = data.draw(
+            st.lists(st.sampled_from(dataset.protected), min_size=1, unique=True)
+        )
+        T = data.draw(st.sampled_from(KERNEL_THRESHOLDS))
+        k = data.draw(
+            st.one_of(st.integers(0, 5), st.integers(0, dataset.n_rows + 1))
+        )
+        tau_c = data.draw(st.sampled_from((0.0, 0.2, 1.0)))
+        naive, opt, vec = (
+            identify_ibs(
+                dataset, tau_c, T=T, k=k, scope=scope, method=method, attrs=attrs
+            )
+            for method in ("naive", "optimized", "vectorized")
+        )
         assert naive == opt == vec
 
     @settings(max_examples=20, deadline=None)
@@ -140,33 +169,68 @@ class TestIncrementalHierarchyProperty:
         rng = np.random.default_rng(seed)
         h = Hierarchy(dataset)
         current = dataset
-        names = list(dataset.protected)
         for __ in range(4):
-            attr = names[int(rng.integers(0, len(names)))]
-            card = current.schema[attr].cardinality
-            pattern = Pattern([(attr, int(rng.integers(0, card)))])
-            idx = np.flatnonzero(pattern.mask(current))
-            if idx.size == 0:
-                continue
-            before = h.region_leaf_counts(current, pattern)
-            action = int(rng.integers(0, 3))
-            if action == 0:
-                current = current.duplicate_rows(
-                    rng.choice(idx, size=min(3, idx.size))
-                )
-            elif action == 1 and idx.size > 1:
-                current = current.drop(rng.choice(idx, size=1, replace=False))
-            else:
-                y = current.y.copy()
-                y[rng.choice(idx, size=1)] ^= 1
-                current = current.with_labels(y)
-            after = h.region_leaf_counts(current, pattern)
-            h.apply_count_delta(
-                pattern, after[0] - before[0], after[1] - before[1]
-            )
-            fresh = Hierarchy(current)
-            for level in range(0, fresh.max_level + 1):
-                for node in fresh.nodes_at_level(level):
-                    kept = h.node(node.attrs)
-                    assert np.array_equal(kept.pos, node.pos), node.attrs
-                    assert np.array_equal(kept.neg, node.neg), node.attrs
+            current = _edit_and_fold(rng, h, current)
+            _assert_matches_fresh_build(h, current)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        engine_datasets(),
+        st.integers(0, 1_000),
+        st.sampled_from(KERNEL_THRESHOLDS),
+        st.integers(0, 12),
+    )
+    def test_node_reports_after_deltas(self, dataset, seed, T, k):
+        """The per-node vectorized step equals the optimized one on a cube
+        kept current by deltas, whose ALL slots match a fresh build."""
+        rng = np.random.default_rng(seed)
+        h = Hierarchy(dataset)
+        current = dataset
+        for __ in range(int(rng.integers(1, 6))):
+            current = _edit_and_fold(rng, h, current)
+        _assert_matches_fresh_build(h, current)
+        for node in h.iter_nodes_bottom_up():
+            vec = node_biased_reports(h, node, 0.2, T=T, k=k, method="vectorized")
+            opt = node_biased_reports(h, node, 0.2, T=T, k=k, method="optimized")
+            assert vec == opt, node.attrs
+
+
+def _edit_and_fold(rng, h: Hierarchy, current: Dataset) -> Dataset:
+    """One remedy-style edit inside a random pattern, folded into ``h``.
+
+    The pattern fixes a random subset of the attributes (possibly none):
+    some of its rows are duplicated, dropped or relabelled, and the leaf
+    count change of its slice goes through ``apply_count_delta``.
+    """
+    names = list(current.protected)
+    fixed = [a for a in names if rng.random() < 0.5]
+    pattern = Pattern(
+        (a, int(rng.integers(0, current.schema[a].cardinality))) for a in fixed
+    )
+    idx = np.flatnonzero(pattern.mask(current))
+    if idx.size == 0:
+        return current
+    before = h.region_leaf_counts(current, pattern)
+    action = int(rng.integers(0, 3))
+    if action == 0:
+        current = current.duplicate_rows(rng.choice(idx, size=min(3, idx.size)))
+    elif action == 1 and idx.size > 1:
+        current = current.drop(rng.choice(idx, size=1, replace=False))
+    else:
+        y = current.y.copy()
+        y[rng.choice(idx, size=1)] ^= 1
+        current = current.with_labels(y)
+    after = h.region_leaf_counts(current, pattern)
+    h.apply_count_delta(pattern, after[0] - before[0], after[1] - before[1])
+    return current
+
+
+def _assert_matches_fresh_build(h: Hierarchy, current: Dataset) -> None:
+    fresh = Hierarchy(current)
+    assert np.array_equal(h.cube_pos, fresh.cube_pos)
+    assert np.array_equal(h.cube_neg, fresh.cube_neg)
+    for level in range(0, fresh.max_level + 1):
+        for node in fresh.nodes_at_level(level):
+            kept = h.node(node.attrs)
+            assert np.array_equal(kept.pos, node.pos), node.attrs
+            assert np.array_equal(kept.neg, node.neg), node.attrs

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from repro.core import ibs
 from repro.core.ibs import identify_ibs, ibs_patterns, report_sort_key
 from repro.data.schema import Column, Schema
 from repro.errors import JournalError, StreamError
@@ -15,7 +16,6 @@ from repro.stream.deltas import (
     RelabelDelta,
     deltas_from_records,
 )
-from repro.stream import engine
 from repro.stream.engine import StreamAuditor
 from repro.stream.journal import DeltaLog, StreamConfig
 
@@ -126,11 +126,14 @@ class TestRescoreChecks:
         # (a, b) node is pruned while both level-1 nodes are scored.
         auditor = StreamAuditor(dataclasses.replace(config, k=6))
         scored: list[tuple[str, ...]] = []
-        real_counts = engine.vectorized_neighbor_counts
+        real_counts = ibs.cell_neighbor_counts
 
-        def counting(hierarchy, node, T, cache=None):
-            scored.append(node.attrs)
-            return real_counts(hierarchy, node, T, cache=cache)
+        def counting(hierarchy, cells, T):
+            for pattern in hierarchy.cell_patterns(cells):
+                attrs = tuple(sorted(pattern.attrs))
+                if attrs not in scored:
+                    scored.append(attrs)
+            return real_counts(hierarchy, cells, T)
 
         seen: list = []
         real_observe = auditor.monitor.observe
@@ -139,7 +142,7 @@ class TestRescoreChecks:
             seen.extend(observations)
             return real_observe(seq, observations)
 
-        monkeypatch.setattr(engine, "vectorized_neighbor_counts", counting)
+        monkeypatch.setattr(ibs, "cell_neighbor_counts", counting)
         monkeypatch.setattr(auditor.monitor, "observe", observe)
         auditor.apply_batch(1, "b0", skewed_batch())
         assert auditor.hierarchy.node(("a", "b")).max_cell_size == 6
