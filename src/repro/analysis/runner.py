@@ -51,14 +51,24 @@ FORMAT_JSON = "json"
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for the analysis runner."""
-    parser = argparse.ArgumentParser(
-        prog="repro.analysis",
-        description=(
-            "AST-based static analysis enforcing the repo's determinism, "
-            "dependency and API contracts (per-file R001-R008, R015 and "
-            "R016 plus whole-program R009-R014)"
-        ),
+    return add_arguments(
+        argparse.ArgumentParser(
+            prog="repro.analysis",
+            description=(
+                "AST-based static analysis enforcing the repo's determinism, "
+                "dependency and API contracts (per-file R001-R008, R015 and "
+                "R016 plus whole-program R009-R014)"
+            ),
+        )
     )
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Declare the analyzer's flags on ``parser``.
+
+    Both entry points take their flags from here: this module's
+    :func:`build_parser` and the ``repro analyze`` subcommand.
+    """
     parser.add_argument(
         "paths",
         nargs="*",
@@ -298,7 +308,14 @@ def run(
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``python -m repro.analysis``."""
-    args = build_parser().parse_args(argv)
+    return run_args(build_parser().parse_args(argv))
+
+
+def run_args(args: argparse.Namespace) -> int:
+    """Run on the flags of :func:`add_arguments`; returns the exit code.
+
+    The one body behind ``python -m repro.analysis`` and ``repro analyze``.
+    """
     if args.list_rules:
         print(list_rules())
         return EXIT_CLEAN

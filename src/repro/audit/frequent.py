@@ -12,8 +12,7 @@ demand.
 The brute-force enumerator in :mod:`repro.audit.divexplorer` visits every
 cell of every attribute subset; for low support thresholds on wide schemas
 the Apriori path visits a fraction of that.  Both return identical pattern
-sets (a property the test suite pins), so
-:func:`repro.audit.divexplorer.find_divergent_subgroups` can use either.
+sets (a property the test suite pins).
 """
 
 from __future__ import annotations

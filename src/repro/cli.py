@@ -902,28 +902,6 @@ def cmd_client_fetch(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis.runner import list_rules, run
-
-    if args.list_rules:
-        print(list_rules())
-        return 0
-    rule_ids = None
-    if args.rules is not None:
-        rule_ids = tuple(part.strip() for part in args.rules.split(",") if part.strip())
-    return run(
-        args.paths,
-        baseline_path=args.baseline,
-        update_baseline=args.update_baseline,
-        prune=args.prune_baseline,
-        output_format=args.format,
-        rule_ids=rule_ids,
-        cache_path=args.cache,
-        changed_only=args.changed_only,
-        show_stats=args.stats,
-    )
-
-
 # -- parser wiring ---------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1036,41 +1014,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace(p)
     p.set_defaults(func=cmd_report)
 
+    from repro.analysis.runner import add_arguments, run_args
+
     p = sub.add_parser(
         "analyze", help="static-analysis pass over Python sources (R001-R014)"
     )
-    p.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to analyse (default: src/repro)",
-    )
-    p.add_argument("--baseline", default=None, help="JSON baseline of tolerated findings")
-    p.add_argument(
-        "--update-baseline", dest="update_baseline", action="store_true",
-        help="rewrite the baseline with the current findings",
-    )
-    p.add_argument(
-        "--prune-baseline", dest="prune_baseline", action="store_true",
-        help="drop stale / missing-file baseline entries, then gate as usual",
-    )
-    p.add_argument(
-        "--cache", default=None,
-        help="incremental analysis cache file (per-file sha256 -> facts)",
-    )
-    p.add_argument(
-        "--changed-only", dest="changed_only", action="store_true",
-        help="report only findings in git-changed files",
-    )
-    p.add_argument(
-        "--stats", action="store_true",
-        help="append per-rule counts, cache hits and wall time to the report",
-    )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--rules", default=None, help="comma-separated rule ids to run")
-    p.add_argument(
-        "--list-rules", dest="list_rules", action="store_true",
-        help="print the available rules and exit",
-    )
-    p.set_defaults(func=cmd_analyze)
+    add_arguments(p).set_defaults(func=run_args)
 
     p = sub.add_parser("experiment", help="run a paper experiment by id")
     p.add_argument(

@@ -16,7 +16,9 @@ Two cost-relevant properties (see ``docs/performance.md``):
 
 * **Construction** counts the leaf once (``Dataset.region_counts``) and
   fills the ALL slots in place with one axis sum per attribute: ``D``
-  sums instead of ``2^D`` marginalisations.
+  sums instead of ``2^D`` marginalisations.  The same fill
+  (:meth:`Hierarchy.fill_cube`) ORs a boolean leaf mask into the stream
+  auditor's dirty-region cube.
 * **Incremental updates**: :meth:`Hierarchy.apply_count_delta` scatters a
   leaf-granular count change into the cube — each changed leaf cell adds
   to its ``2^D`` projections — so the remedy loop (once per node plan) and
@@ -174,37 +176,41 @@ class Hierarchy:
         pos_flat, neg_flat, shape = dataset.region_counts(attrs)
         self.cards = tuple(int(c) for c in shape)
         self._card = dict(zip(attrs, self.cards))
-        self._fill_cube(pos_flat.reshape(shape), neg_flat.reshape(shape))
-        self._index_cells()
-        #: Node views, made on first lookup: an audit that scores the cube
-        #: directly never pays for them.
-        self._nodes: dict[frozenset[str], HierarchyNode] = {}
-
-    def _fill_cube(self, leaf_pos: np.ndarray, leaf_neg: np.ndarray) -> None:
-        """The count cube from the leaf counts: the leaf block plus ALL slots."""
         cube_shape = tuple(c + 1 for c in self.cards)
-        # Every cell is written below: the leaf block, then each ALL slot
-        # exactly once.
-        self.cube_pos = np.empty(cube_shape, dtype=np.int64)
-        self.cube_neg = np.empty(cube_shape, dtype=np.int64)
         #: Element stride of each cube axis in the cube's C-order flat index.
         self.cube_strides = tuple(
             int(np.prod(cube_shape[i + 1:], dtype=np.int64))
             for i in range(len(cube_shape))
         )
+        self.cube_pos = self.fill_cube(pos_flat.reshape(shape), np.add)
+        self.cube_neg = self.fill_cube(neg_flat.reshape(shape), np.add)
+        self._index_cells()
+        #: Node views, made on first lookup: an audit that scores the cube
+        #: directly never pays for them.
+        self._nodes: dict[frozenset[str], HierarchyNode] = {}
+
+    def fill_cube(self, leaf: np.ndarray, reduce: np.ufunc) -> np.ndarray:
+        """A cube over ``leaf``: the leaf block plus every ALL slot.
+
+        ``leaf`` is indexed by the hierarchy attributes (shape ``cards``);
+        each ALL slot holds ``reduce`` folded over the values it frees, in
+        ``leaf``'s dtype.  With ``np.add`` over label counts this is the
+        count cube; with ``np.logical_or`` over a boolean leaf it marks
+        every cell that projects a marked leaf cell.
+        """
+        cube = np.empty(tuple(c + 1 for c in self.cards), dtype=leaf.dtype)
         span = [slice(0, c) for c in self.cards]
-        self.cube_pos[tuple(span)] = leaf_pos
-        self.cube_neg[tuple(span)] = leaf_neg
-        # One axis sum per attribute.  Each sum covers only the slots
-        # already filled, so after it every cell whose free axes are among
-        # the axes summed so far holds its marginal.  Largest cardinality
-        # first keeps the summed spans smallest.
+        cube[tuple(span)] = leaf
+        # One fold per attribute.  Each covers only the slots already
+        # filled, so after it every cell whose free axes are among the axes
+        # folded so far holds its value.  Largest cardinality first keeps
+        # the folded spans smallest.
         for axis in sorted(range(len(self.cards)), key=lambda a: (-self.cards[a], -a)):
             values = tuple(span)
             free = values[:axis] + (self.cards[axis],) + values[axis + 1:]
-            for cube in (self.cube_pos, self.cube_neg):
-                np.sum(cube[values], axis=axis, out=cube[free + (Ellipsis,)])
+            reduce.reduce(cube[values], axis=axis, out=cube[free + (Ellipsis,)])
             span[axis] = slice(0, self.cards[axis] + 1)
+        return cube
 
     def _index_cells(self) -> None:
         """Lookup tables behind :meth:`cell_nodes` and its siblings.
@@ -235,6 +241,11 @@ class Hierarchy:
         masks = np.arange(1 << len(self.attrs), dtype=np.int64)
         #: Level (number of fixed axes) of each node bitmask of :meth:`cell_nodes`.
         self.mask_levels = sum((masks >> a) & 1 for a in range(len(self.attrs)))
+        #: Rank of each node bitmask in Algorithm 1's visiting order, the
+        #: order of :meth:`iter_nodes_bottom_up` with the root last.
+        axes = [[a for a in range(len(self.attrs)) if m >> a & 1] for m in masks]
+        self.node_rank = np.empty_like(masks)
+        self.node_rank[sorted(masks, key=lambda m: (-len(axes[m]), axes[m]))] = masks
         #: Axes in attribute-name order (a pattern's item order), and per
         #: axis the ``(attr, code)`` item of each code with None for ALL.
         self._by_name = sorted(range(len(self.attrs)), key=self.attrs.__getitem__)

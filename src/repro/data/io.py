@@ -102,6 +102,16 @@ def atomic_write_json(path: str | Path, payload: object, indent: int = 2) -> Non
     atomic_write_text(path, json.dumps(payload, indent=indent) + "\n")
 
 
+def canonical_json(payload: object) -> str:
+    """Deterministic JSON encoding (sorted keys, no whitespace).
+
+    The one encoding behind every hash and byte-compared document: journal
+    record shas, store manifest digests, gateway response bodies and stream
+    digests.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write ``dataset`` (including labels) to ``path`` as CSV."""
     path = Path(path)

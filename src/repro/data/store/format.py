@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.data.io import atomic_write_json
+from repro.data.io import atomic_write_json, canonical_json
 from repro.data.schema import Schema
 from repro.data.schema_io import schema_from_dict, schema_to_dict
 from repro.errors import SchemaError, StoreCorruptionError, StoreError
@@ -48,11 +48,6 @@ def shard_dir_name(index: int) -> str:
 def column_file_name(index: int) -> str:
     """File name of the schema column at position ``index`` within a shard."""
     return f"c{index:04d}.npy"
-
-
-def canonical_json(payload: object) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace) for hashing."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def schema_digest(schema: Schema, protected: Iterable[str]) -> str:

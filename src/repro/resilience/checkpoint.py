@@ -21,7 +21,6 @@ here once per completed cell.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from pathlib import Path
@@ -29,6 +28,7 @@ from typing import Iterable, Sequence
 
 from repro.data.io import atomic_write_json
 from repro.errors import CheckpointError
+from repro.obs.manifest import config_hash
 
 CHECKPOINT_VERSION = 1
 
@@ -41,12 +41,12 @@ CELL_OK = "ok"
 def sweep_run_id(**params: object) -> str:
     """Stable fingerprint of a sweep configuration.
 
-    Any JSON-representable keyword arguments work; non-JSON values fall
-    back to ``str``.  The same parameters always hash to the same id, so a
+    :func:`~repro.obs.manifest.config_hash` of the keyword arguments: any
+    JSON-representable values work, and non-JSON values fall back to
+    ``str``.  The same parameters always hash to the same id, so a
     ``--resume`` against a checkpoint from a different sweep is rejected.
     """
-    blob = json.dumps(params, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return config_hash(params)
 
 
 class Checkpoint:

@@ -49,6 +49,7 @@ not from interleaved appends — the sha chain stays linear.
 from __future__ import annotations
 
 import json
+import math
 import signal
 import threading
 from dataclasses import dataclass
@@ -267,7 +268,11 @@ class AuditGateway:
 
     # -- ingest ------------------------------------------------------------------
     def _read_body(self, handler: BaseHTTPRequestHandler) -> bytes:
-        length = int(handler.headers.get("Content-Length") or 0)
+        raw = handler.headers.get("Content-Length") or 0
+        try:
+            length = int(raw)
+        except ValueError:
+            raise DataError(f"bad Content-Length header: {raw!r}") from None
         if length <= 0:
             raise DataError("ingest requires a JSON body with Content-Length")
         if length > _MAX_BODY_BYTES:
@@ -290,6 +295,8 @@ class AuditGateway:
         try:
             value = float(raw)
         except ValueError:
+            value = math.nan
+        if math.isnan(value):  # NaN parses, but no lock wait accepts it
             raise DataError(f"bad {DEADLINE_HEADER} header: {raw!r}")
         if value <= 0:
             raise RequestDeadlineError(

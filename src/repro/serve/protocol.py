@@ -24,10 +24,10 @@ keys for effect-exactly-once.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING
 
 from repro import errors
+from repro.data.io import canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - import only for the annotation
     from repro.data.store.registry import Registry
@@ -109,9 +109,7 @@ def canonical_json_bytes(payload: object) -> bytes:
     The single encoding used by every gateway JSON response and by the
     CLI ``--json`` outputs, so the two are comparable byte for byte.
     """
-    return (
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    return (canonical_json(payload) + "\n").encode("utf-8")
 
 
 def registry_payload(registry: Registry) -> dict:

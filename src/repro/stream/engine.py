@@ -8,21 +8,21 @@ audit.  Applying a batch is O(deltas), independent of the total row count:
    store and accumulates into a leaf-granular count-delta array;
 2. one :meth:`~repro.core.hierarchy.Hierarchy.apply_count_delta` call
    folds the batch's delta into the hierarchy's count cube in place;
-3. the **dirty-region tracker** maps each changed leaf cell to the cells
-   whose score the change can affect: in a node ``N``, a changed leaf
-   cell ``c`` perturbs the projection ``proj_N(c)`` itself plus every
-   cell within the Hamming budget of it (the neighbourhood relation is
-   symmetric, so those are exactly the cells that count ``proj_N(c)`` in
-   their neighbourhood).  This is one masked array pass per node: the
-   changed cells are marked in a boolean leaf array, projected onto the
-   node with ``any`` over the dropped axes, and grown to the Hamming ball
-   by ORing ``any(axis=S, keepdims=True)`` over the ``C(d, budget)`` axis
-   subsets ``S``.  The dirty cells of all nodes — nodes bottom-up, cells
-   in C order (which is sorted coordinate order) — are mapped to count-
-   cube indices, and those with ``|r| > k`` are scored in one call of the
-   vectorized engine's scoring path
-   (:func:`~repro.core.ibs.score_cube_cells`); a dirty cell with
-   ``|r| ≤ k`` observes ``None``.
+3. the **dirty-region tracker** finds the cells whose score the batch can
+   affect: a cell of a level-``d`` node is dirty when some changed leaf
+   cell agrees with it on all but at most ``hamming_budget(T, d)`` of its
+   fixed axes (the neighbourhood relation is symmetric, so these are the
+   changed projections and every cell that counts one as a neighbour).
+   This is one pass over a boolean count cube: the changed leaf cells are
+   marked and :meth:`~repro.core.hierarchy.Hierarchy.fill_cube` ORs them
+   into the ALL slots, marking every projection of a changed cell; each
+   of ``hamming_budget(T, D)`` growth rounds then lets a cell take the
+   mark of any cell that frees one of its fixed axes.  The marked cells
+   bar the root, sorted stably by node rank (nodes bottom-up, cells in C
+   order, which is sorted coordinate order), are scored in one call of
+   the vectorized engine's scoring path
+   (:func:`~repro.core.ibs.score_cube_cells`) where ``|r| > k``; a dirty
+   cell with ``|r| ≤ k`` observes ``None``.
 
 The resulting report set — and its ordering — is pinned byte-identical to
 a from-scratch ``identify_ibs`` over the materialised data by a
@@ -33,13 +33,11 @@ delegated to the :class:`~repro.stream.monitor.DriftMonitor`.
 from __future__ import annotations
 
 import hashlib
-import itertools
-import json
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.hierarchy import Hierarchy, HierarchyNode
+from repro.core.hierarchy import Hierarchy
 from repro.core.ibs import (
     RegionReport,
     lattice_biased_reports,
@@ -51,6 +49,7 @@ from repro.core.ibs import (
 )
 from repro.core.neighbors import hamming_budget
 from repro.core.pattern import Pattern
+from repro.data.io import canonical_json
 from repro.errors import DeltaError, JournalError, StreamError
 from repro.obs import trace as obs
 from repro.stream.deltas import (
@@ -79,16 +78,12 @@ class StreamAuditor:
         self.state = StreamState(config.schema, config.protected)
         self.hierarchy = Hierarchy(self.state.materialize())
         self.monitor = DriftMonitor(config.tau_c, config.hysteresis)
-        self._axis_of = {a: i for i, a in enumerate(config.protected)}
-        self._leaf_shape = config.schema.cardinalities(config.protected)
         #: pattern -> current RegionReport for every biased region.
         self._biased: dict[Pattern, RegionReport] = {}
-        #: node attrs -> (dropped leaf axes, Hamming-ball axis subsets,
-        #: flat cell index -> Pattern memo); see :meth:`_node_plan`.
-        self._plans: dict[
-            tuple[str, ...],
-            tuple[tuple[int, ...], list[tuple[int, ...]], dict[int, Pattern]],
-        ] = {}
+        #: Count-cube cell -> its region's Pattern, each built once.  The
+        #: cube's shape depends only on the config, so rebase rebuilds of
+        #: the hierarchy keep it valid.
+        self._patterns: dict[int, Pattern] = {}
         self.applied_ids: set[str] = set()
         self.watermark = 0
         self.n_batches = 0
@@ -120,8 +115,8 @@ class StreamAuditor:
                 "journal is corrupt"
             )
         with obs.span("stream.apply_batch", id=batch_id, n=len(deltas)):
-            dpos = np.zeros(self._leaf_shape, dtype=np.int64)
-            dneg = np.zeros(self._leaf_shape, dtype=np.int64)
+            dpos = np.zeros(self.hierarchy.cards, dtype=np.int64)
+            dneg = np.zeros(self.hierarchy.cards, dtype=np.int64)
             changed: set[tuple[int, ...]] = set()
             for delta in deltas:
                 if delta.kind == KIND_INSERT:
@@ -154,47 +149,54 @@ class StreamAuditor:
     ) -> list[tuple[Pattern, RegionReport | None]]:
         """Re-score exactly the regions the changed leaf cells can affect.
 
-        One masked array pass per node finds its dirty cells (see the
-        module docstring); the dirty cells of all nodes are then scored in
-        one :func:`~repro.core.ibs.score_cube_cells` call over those with
-        ``|r| > k``.  Nodes are visited bottom-up in canonical order and
-        dirty cells in C order — the sorted order of their coordinate
-        tuples — so the observation sequence, and therefore the monitor's
-        event order, is a pure function of the batch.  A dirty cell with
-        ``|r| ≤ k`` observes ``None``.  The data checks of the scalar path
-        hold: a negative own or neighbour count on a scored cell raises
+        The dirty cells (see the module docstring) come nodes bottom-up,
+        cells in C order, so the observation sequence, and therefore the
+        monitor's event order, is a pure function of the batch.  The data
+        checks of the scalar path hold: a negative own or neighbour count
+        on a scored cell raises
         :func:`~repro.core.imbalance.imbalance_score`'s ``ValueError``, and
         a negative ``tau_c`` raises in :func:`~repro.core.ibs.score_cells`.
         """
         observations: list[tuple[Pattern, RegionReport | None]] = []
         if not changed:
             return observations
-        leaf = np.zeros(self._leaf_shape, dtype=bool)
+        hierarchy = self.hierarchy
+        leaf = np.zeros(hierarchy.cards, dtype=bool)
         leaf[tuple(zip(*changed))] = True
-        patterns: list[Pattern] = []
-        dirty_cells: list[np.ndarray] = []
-        for level in range(self.hierarchy.max_level, 0, -1):
-            for node in self.hierarchy.nodes_at_level(level):
-                drop, balls, memo = self._node_plan(node)
-                proj = leaf.any(axis=drop)
-                dirty = np.zeros(node.shape, dtype=bool)
-                for axes in balls:
-                    dirty |= proj.any(axis=axes, keepdims=True)
-                flat = np.flatnonzero(dirty)
-                patterns.extend(self._patterns(node, memo, flat.tolist()))
-                dirty_cells.append(node.cube_cells(flat))
-        cells = np.concatenate(dirty_cells)
+        # Each round reads the previous round's mask, so it frees one axis
+        # at most; a level-d cell has only d axes to free, which caps its
+        # budget at d as hamming_budget does.
+        mask = hierarchy.fill_cube(leaf, np.logical_or)
+        for _ in range(hamming_budget(self.config.T, len(hierarchy.cards))):
+            grown = mask.copy()
+            for axis, card in enumerate(hierarchy.cards):
+                at = (slice(None),) * axis
+                grown[at + (slice(0, card),)] |= mask[at + (slice(card, None),)]
+            mask = grown
+        cells = np.flatnonzero(mask)[:-1]  # drop the root: last, always marked
+        cells = cells[
+            np.argsort(
+                hierarchy.node_rank[hierarchy.cell_nodes(cells)], kind="stable"
+            )
+        ]
+        keys = cells.tolist()
+        missing = [cell for cell in keys if cell not in self._patterns]
+        if missing:
+            self._patterns.update(
+                zip(missing, hierarchy.cell_patterns(np.array(missing)))
+            )
         total = (
-            self.hierarchy.cube_pos.reshape(-1)[cells]
-            + self.hierarchy.cube_neg.reshape(-1)[cells]
+            hierarchy.cube_pos.reshape(-1)[cells]
+            + hierarchy.cube_neg.reshape(-1)[cells]
         )
         scored = total > self.config.k
         *fields, biased = score_cube_cells(
-            self.hierarchy, cells[scored], self.config.tau_c, self.config.T,
+            hierarchy, cells[scored], self.config.tau_c, self.config.T,
             self.config.k,
         )
         rows = zip(biased.tolist(), *(field.tolist() for field in fields))
-        for pattern, ok in zip(patterns, scored.tolist()):
+        for cell, ok in zip(keys, scored.tolist()):
+            pattern = self._patterns[cell]
             if not ok:
                 self._biased.pop(pattern, None)
                 observations.append((pattern, None))
@@ -207,39 +209,6 @@ class StreamAuditor:
                 self._biased.pop(pattern, None)
             observations.append((pattern, report))
         return observations
-
-    def _node_plan(
-        self, node: HierarchyNode
-    ) -> tuple[tuple[int, ...], list[tuple[int, ...]], dict[int, Pattern]]:
-        """A node's dropped leaf axes, Hamming-ball axis subsets and pattern memo.
-
-        Depends only on the node's attribute set, so it outlives hierarchy
-        rebuilds; the memo holds at most one pattern per lattice cell.
-        """
-        plan = self._plans.get(node.attrs)
-        if plan is None:
-            drop = tuple(
-                ax for a, ax in self._axis_of.items() if a not in node.attrs
-            )
-            budget = hamming_budget(self.config.T, node.level)
-            balls = list(itertools.combinations(range(node.level), budget))
-            plan = self._plans[node.attrs] = (drop, balls, {})
-        return plan
-
-    @staticmethod
-    def _patterns(
-        node: HierarchyNode, memo: dict[int, Pattern], flat: list[int]
-    ) -> list[Pattern]:
-        """Patterns of a node's cells by flat index, each built only once."""
-        out = []
-        for f in flat:
-            pattern = memo.get(f)
-            if pattern is None:
-                pattern = memo[f] = node.pattern_of(
-                    np.unravel_index(f, node.shape)
-                )
-            out.append(pattern)
-        return out
 
     def rescore_all(self) -> None:
         """Rebuild the biased-region map from the current counts (rebase load).
@@ -295,8 +264,7 @@ class StreamAuditor:
             ],
             "alarms": self.monitor.export_active(),
         }
-        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
     # -- replay -------------------------------------------------------------------
     @classmethod

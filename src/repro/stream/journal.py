@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.data.io import atomic_write_json, fsync_dir
+from repro.data.io import atomic_write_json, canonical_json, fsync_dir
 from repro.data.schema import Schema
 from repro.data.schema_io import schema_from_dict, schema_to_dict
 from repro.errors import JournalError, StreamError
@@ -66,6 +66,10 @@ FORMAT_VERSION = 1
 #: Default byte threshold after which the active segment is rotated.
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 
+#: Alive rows per ``rows`` record of a rebase: the unit compaction holds
+#: in memory.
+ROWS_PER_CHUNK = 100_000
+
 _SEGMENT_RE = re.compile(r"^segment-g(\d{8})-(\d{12})\.jsonl$")
 
 
@@ -73,12 +77,8 @@ def _segment_name(generation: int, first_seq: int) -> str:
     return f"segment-g{generation:08d}-{first_seq:012d}.jsonl"
 
 
-def _canonical(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _record_sha(prev: str, seq: int, rtype: str, payload: object) -> str:
-    body = _canonical({"payload": payload, "seq": seq, "type": rtype})
+    body = canonical_json({"payload": payload, "seq": seq, "type": rtype})
     return hashlib.sha256((prev + body).encode("utf-8")).hexdigest()
 
 
@@ -171,6 +171,77 @@ class JournalRecord:
     type: str
     payload: dict
     sha: str
+
+
+class _TornRecord(Exception):
+    """The first bad record of a segment, as :func:`_checked_records` found it.
+
+    Only a partial final line (no trailing newline — what a killed
+    ``write`` leaves behind) is ``recoverable``; a record that is
+    structurally complete but fails a check, or has records after it, is
+    corruption.
+    """
+
+    def __init__(
+        self, segment: Path, offset: int, reason: str, recoverable: bool = False
+    ):
+        super().__init__(
+            f"torn/corrupt record in {segment.name} at byte {offset}: {reason}"
+        )
+        self.offset = offset
+        self.recoverable = recoverable
+
+
+def _checked_records(
+    segment: Path, last: JournalRecord | None
+) -> Iterator[JournalRecord]:
+    """Yield ``segment``'s records, each checked against the one before it.
+
+    ``last`` is the final record of the previous segment, or None when
+    ``segment`` opens its generation (its head must then start the chain
+    with a genesis or rebase record).  Every record must parse, match its
+    sha256, link to its predecessor's sha and carry the next seq; the first
+    that does not raises :class:`_TornRecord`.
+    """
+    data = segment.read_bytes()
+    offset = 0
+    while offset < len(data):
+        newline = data.find(b"\n", offset)
+        if newline == -1:
+            raise _TornRecord(
+                segment, offset, "record without trailing newline (torn append)",
+                recoverable=True,
+            )
+        try:
+            envelope = json.loads(data[offset:newline])
+            seq = int(envelope["seq"])
+            rtype = str(envelope["type"])
+            payload = envelope["payload"]
+            prev = str(envelope["prev"])
+            sha = str(envelope["sha"])
+        except (KeyError, TypeError, ValueError):
+            raise _TornRecord(segment, offset, "unparsable record") from None
+        head = last is None
+        if sha != _record_sha(prev, seq, rtype, payload):
+            fault = f"sha256 mismatch at seq {seq} (chain link broken)"
+        elif head and prev != "":
+            fault = f"chain head at seq {seq} has non-empty prev"
+        elif head and rtype not in (RECORD_GENESIS, RECORD_REBASE):
+            fault = f"generation must start with genesis/rebase, got {rtype!r}"
+        elif not head and prev != last.sha:
+            fault = (
+                f"chain link broken at seq {seq}: prev does not match the "
+                "preceding record's sha"
+            )
+        elif not head and seq != last.seq + 1:
+            fault = f"sequence gap: expected seq {last.seq + 1}, got {seq}"
+        else:
+            fault = None
+        if fault is not None:
+            raise _TornRecord(segment, offset, fault)
+        last = JournalRecord(seq=seq, type=rtype, payload=payload, sha=sha)
+        yield last
+        offset = newline + 1
 
 
 @dataclass(frozen=True)
@@ -310,24 +381,22 @@ class DeltaLog:
         scan = _ScanState()
         truncated_bytes = 0
         truncated_segment: str | None = None
+        last: JournalRecord | None = None  # each segment's predecessor
         for i, segment in enumerate(segments):
-            is_last = i == len(segments) - 1
-            torn = cls._scan_segment(segment, scan, expect_start=(i == 0))
-            if torn is not None:
-                offset, reason, recoverable = torn
+            try:
+                for last in _checked_records(segment, last):
+                    cls._fold_record(scan, last)
+            except _TornRecord as torn:
                 # Only the kill-mid-append shape — a partial *final* line of
                 # the *final* segment — may be clipped; anything else
                 # (sha mismatch, mid-file garbage, earlier segment) is
                 # corruption and stays a hard error even in recovery.
-                if strict or not is_last or not recoverable:
-                    raise JournalError(
-                        f"torn/corrupt record in {segment.name} at byte "
-                        f"{offset}: {reason}"
-                    )
-                truncated_bytes = os.path.getsize(segment) - offset
+                if strict or i < len(segments) - 1 or not torn.recoverable:
+                    raise JournalError(str(torn)) from None
+                truncated_bytes = os.path.getsize(segment) - torn.offset
                 truncated_segment = segment.name
                 with open(segment, "r+b") as fh:
-                    fh.truncate(offset)
+                    fh.truncate(torn.offset)
                     fh.flush()
                     os.fsync(fh.fileno())
         if scan.config is None:
@@ -369,83 +438,9 @@ class DeltaLog:
         live.sort()
         return [p for _seq, p in live], orphans
 
-    @classmethod
-    def _scan_segment(
-        cls, segment: Path, scan: _ScanState, expect_start: bool
-    ) -> tuple[int, str, bool] | None:
-        """Validate one segment into ``scan``.
-
-        Returns ``None`` on success, or ``(byte offset, reason,
-        recoverable)`` of the first bad record.  Only a partial final line
-        (no trailing newline — what a killed ``write`` leaves behind) is
-        marked recoverable; a record that is structurally complete but
-        fails the sha chain, or has later records after it, is corruption.
-        """
-        data = segment.read_bytes()
-        offset = 0
-        first = expect_start
-        while offset < len(data):
-            newline = data.find(b"\n", offset)
-            if newline == -1:
-                return (
-                    offset,
-                    "record without trailing newline (torn append)",
-                    True,
-                )
-            line = data[offset:newline]
-            try:
-                envelope = json.loads(line)
-                seq = int(envelope["seq"])
-                rtype = str(envelope["type"])
-                payload = envelope["payload"]
-                prev = str(envelope["prev"])
-                sha = str(envelope["sha"])
-            except (KeyError, TypeError, ValueError):
-                return offset, "unparsable record", False
-            if sha != _record_sha(prev, seq, rtype, payload):
-                return (
-                    offset,
-                    f"sha256 mismatch at seq {seq} (chain link broken)",
-                    False,
-                )
-            if first:
-                if prev != "":
-                    return (
-                        offset,
-                        f"chain head at seq {seq} has non-empty prev",
-                        False,
-                    )
-                if rtype not in (RECORD_GENESIS, RECORD_REBASE):
-                    return (
-                        offset,
-                        f"generation must start with genesis/rebase, got "
-                        f"{rtype!r}",
-                        False,
-                    )
-                first = False
-            elif prev != scan.last_sha:
-                return (
-                    offset,
-                    f"chain link broken at seq {seq}: prev does not match "
-                    "the preceding record's sha",
-                    False,
-                )
-            if scan.next_seq and seq != scan.next_seq:
-                return (
-                    offset,
-                    f"sequence gap: expected seq {scan.next_seq}, got {seq}",
-                    False,
-                )
-            cls._fold_record(scan, seq, rtype, payload)
-            scan.last_sha = sha
-            scan.next_seq = seq + 1
-            offset = newline + 1
-        return None
-
     @staticmethod
-    def _fold_record(
-        scan: _ScanState, seq: int, rtype: str, payload: dict
-    ) -> None:
+    def _fold_record(scan: _ScanState, record: JournalRecord) -> None:
+        seq, rtype, payload = record.seq, record.type, record.payload
         if rtype == RECORD_GENESIS:
             scan.config = StreamConfig.from_dict(payload["config"])
         elif rtype == RECORD_REBASE:
@@ -472,6 +467,8 @@ class DeltaLog:
                 )
         else:
             raise JournalError(f"unknown record type {rtype!r} at seq {seq}")
+        scan.last_sha = record.sha
+        scan.next_seq = seq + 1
 
     # -- appending ------------------------------------------------------------
     def _segment_path(self, first_seq: int) -> Path:
@@ -503,7 +500,7 @@ class DeltaLog:
             "sha": sha,
             "type": rtype,
         }
-        line = _canonical(envelope) + "\n"
+        line = canonical_json(envelope) + "\n"
         if self._handle is None:
             self._handle = open(self._segments[-1], "ab")
         if (
@@ -539,7 +536,7 @@ class DeltaLog:
             "n_insert": kinds.count("i"),
             "n_delete": kinds.count("d"),
             "n_relabel": kinds.count("r"),
-            "sha": hashlib.sha256(_canonical(deltas).encode()).hexdigest(),
+            "sha": hashlib.sha256(canonical_json(deltas).encode()).hexdigest(),
             "ts": time.time(),
         }
         seq = self._append_record(
@@ -560,43 +557,16 @@ class DeltaLog:
         """Stream every record of the live generation, re-validating the chain.
 
         The journal was already vetted at open/recover time; this second
-        pass re-checks the chain while feeding replay, so replay can never
+        pass runs the same checks while feeding replay, so replay can never
         consume records an interleaved writer corrupted after open.
         """
-        last_sha = ""
-        next_seq: int | None = None
-        for i, segment in enumerate(self._segments):
-            first = i == 0
-            for line in segment.read_bytes().splitlines():
-                try:
-                    envelope = json.loads(line)
-                    seq = int(envelope["seq"])
-                    rtype = str(envelope["type"])
-                    payload = envelope["payload"]
-                    prev = str(envelope["prev"])
-                    sha = str(envelope["sha"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise JournalError(
-                        f"unparsable record in {segment.name}: {exc}"
-                    ) from exc
-                if sha != _record_sha(prev, seq, rtype, payload):
-                    raise JournalError(
-                        f"sha256 chain link broken at seq {seq} in "
-                        f"{segment.name}"
-                    )
-                if first:
-                    first = False
-                elif prev != last_sha:
-                    raise JournalError(
-                        f"chain discontinuity at seq {seq} in {segment.name}"
-                    )
-                if next_seq is not None and seq != next_seq:
-                    raise JournalError(
-                        f"sequence gap at seq {seq} in {segment.name}"
-                    )
-                last_sha = sha
-                next_seq = seq + 1
-                yield JournalRecord(seq=seq, type=rtype, payload=payload, sha=sha)
+        last: JournalRecord | None = None
+        for segment in self._segments:
+            try:
+                for last in _checked_records(segment, last):
+                    yield last
+            except _TornRecord as torn:
+                raise JournalError(str(torn)) from None
 
     def generation_bytes(self) -> int:
         """Total on-disk bytes of the live generation's segments."""
@@ -624,33 +594,55 @@ class DeltaLog:
         crash after it leaves the new generation live (old segments swept).
         Sequence numbers keep increasing across generations so
         replay-to-offset semantics survive compaction.
+
+        ``row_chunks`` is read one chunk at a time, each on disk before the
+        next is asked for, so compaction holds one chunk of rows in memory.
+        It must yield ``⌈n_alive / ROWS_PER_CHUNK⌉`` chunks, as
+        :meth:`~repro.stream.state.StreamState.export_rows` does; any other
+        count raises :class:`~repro.errors.JournalError` before the flip,
+        with the half-written generation removed and the old one live.
         """
         old_segments = list(self._segments)
-        old_generation = self.generation
+        old_state = (self.generation, self._last_sha, self._next_seq)
+        n_chunks = -(-n_alive // ROWS_PER_CHUNK)
         self._close_handle()
-
-        chunks = list(row_chunks)
-        self.generation = old_generation + 1
+        self.generation += 1
         self._segments = []
         self._last_sha = ""
-        first_seq = self._next_seq
-        self._start_segment(first_seq=first_seq)
-        rebase_seq = self._append_record(
-            RECORD_REBASE,
-            {
-                "config": self.config.to_dict(),
-                "watermark": self.watermark,
-                "n_batches": self.n_batches,
-                "applied": sorted(self.applied_ids),
-                "next_row": next_row_id,
-                "n_rows": n_alive,
-                "n_chunks": len(chunks),
-                "alarms": alarms,
-                "events_dropped": events_dropped,
-            },
-        )
-        for i, chunk in enumerate(chunks):
-            self._append_record(RECORD_ROWS, {"chunk": i, "rows": chunk})
+        try:
+            self._start_segment(first_seq=self._next_seq)
+            rebase_seq = self._append_record(
+                RECORD_REBASE,
+                {
+                    "config": self.config.to_dict(),
+                    "watermark": self.watermark,
+                    "n_batches": self.n_batches,
+                    "applied": sorted(self.applied_ids),
+                    "next_row": next_row_id,
+                    "n_rows": n_alive,
+                    "n_chunks": n_chunks,
+                    "alarms": alarms,
+                    "events_dropped": events_dropped,
+                },
+            )
+            n_written = 0
+            for chunk in row_chunks:
+                self._append_record(RECORD_ROWS, {"chunk": n_written, "rows": chunk})
+                n_written += 1
+                del chunk  # freed before the next chunk is built
+            if n_written != n_chunks:
+                raise JournalError(
+                    f"compaction of {n_alive} live rows needs {n_chunks} row "
+                    f"chunks, got {n_written}; generation {old_state[0]} "
+                    "stays live"
+                )
+        except BaseException:
+            self._close_handle()
+            for path in self._segments:
+                path.unlink(missing_ok=True)
+            self._segments = old_segments
+            self.generation, self._last_sha, self._next_seq = old_state
+            raise
         self.rebase_seq = rebase_seq
 
         atomic_write_json(
@@ -668,7 +660,7 @@ class DeltaLog:
     def append_dead_letter(self, entry: dict) -> None:
         """Durably append one quarantine entry."""
         with open(self.deadletter_path, "ab") as fh:
-            fh.write((_canonical(entry) + "\n").encode("utf-8"))
+            fh.write((canonical_json(entry) + "\n").encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
 

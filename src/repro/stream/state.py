@@ -34,6 +34,7 @@ from repro.stream.deltas import (
     KIND_RELABEL,
     RelabelDelta,
 )
+from repro.stream.journal import ROWS_PER_CHUNK
 
 #: Initial per-column capacity; doubles on overflow.
 _INITIAL_CAPACITY = 1024
@@ -211,30 +212,25 @@ class StreamState:
         return tuple(int(self._cols[a][row]) for a in self.protected)
 
     # -- persistence ----------------------------------------------------------
-    def export_rows(self, chunk_size: int = 100_000) -> Iterator[list[list]]:
+    def export_rows(self) -> Iterator[list[list]]:
         """Yield alive rows as ``[row_id, [values...], label]`` chunks.
 
         Consumed by journal compaction: the rebase segment stores exactly
-        the live rows (dead ids stay dead implicitly) in id order, so a
+        the live rows (dead ids stay dead implicitly) in id order,
+        :data:`~repro.stream.journal.ROWS_PER_CHUNK` to a chunk, so a
         replay from the rebase reconstructs this state byte-identically.
+        Only the chunk being yielded is held as Python lists.
         """
-        names = list(self.schema.names)
-        chunk: list[list] = []
-        for row in range(self._n):
-            if not self._alive[row]:
-                continue
-            values = [
-                int(self._cols[name][row])
-                if self.schema[name].is_categorical
-                else float(self._cols[name][row])
-                for name in names
+        ids = np.flatnonzero(self._alive[: self._n])
+        for start in range(0, ids.size, ROWS_PER_CHUNK):
+            rows = ids[start:start + ROWS_PER_CHUNK]
+            values = zip(*[self._cols[n][rows].tolist() for n in self.schema.names])
+            yield [
+                [row, list(row_values), label]
+                for row, row_values, label in zip(
+                    rows.tolist(), values, self._y[rows].tolist()
+                )
             ]
-            chunk.append([row, values, int(self._y[row])])
-            if len(chunk) >= chunk_size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
 
     @classmethod
     def from_rows(

@@ -178,6 +178,67 @@ class TestIncrementalBuild:
             assert np.array_equal(node.neg, ref.neg)
 
 
+def _sparse_dataset(cards, n_rows, seed, max_level=None):
+    """Few rows over many cells, so most leaf cells (and some marginals) are empty."""
+    from repro.data import Dataset, schema_from_domains
+
+    rng = np.random.default_rng(seed)
+    names = [f"x{i}" for i in range(len(cards))]
+    schema = schema_from_domains(
+        {n: tuple(f"v{j}" for j in range(c)) for n, c in zip(names, cards)}
+    )
+    columns = {n: rng.integers(0, c, size=n_rows) for n, c in zip(names, cards)}
+    data = Dataset(schema, columns, rng.integers(0, 2, size=n_rows), protected=names)
+    return Hierarchy(data, max_level=max_level)
+
+
+class TestCubeFill:
+    def test_or_fill_marks_exactly_the_cells_the_count_fill_makes_positive(self):
+        h = _sparse_dataset((3, 2, 4, 2), n_rows=9, seed=3)
+        total = h.cube_pos + h.cube_neg
+        leaf = total[tuple(slice(0, c) for c in h.cards)] > 0
+        assert leaf.any() and not leaf.all()
+        marked = h.fill_cube(leaf, np.logical_or)
+        assert marked.dtype == bool
+        assert np.array_equal(marked, total > 0)
+        assert not marked.all()  # some marginal cells stay empty too
+
+    def test_or_fill_of_any_mask_is_the_positive_count_fill(self):
+        h = _sparse_dataset((3, 2, 4, 2), n_rows=50, seed=4)
+        rng = np.random.default_rng(0)
+        for density in (0.0, 0.05, 0.3, 1.0):
+            leaf = rng.random(h.cards) < density
+            counts = h.fill_cube(leaf.astype(np.int64), np.add)
+            assert counts.dtype == np.int64
+            assert np.array_equal(h.fill_cube(leaf, np.logical_or), counts > 0)
+
+    def test_count_cube_is_int64(self, biased_dataset):
+        h = Hierarchy(biased_dataset)
+        assert h.cube_pos.dtype == h.cube_neg.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "cards, max_level",
+        [
+            ((3,), None),
+            ((2, 3, 2), None),
+            ((2, 2, 3, 2, 2), None),
+            ((2, 2, 3, 2, 2), 2),
+        ],
+    )
+    def test_node_rank_orders_nodes_as_iter_nodes_bottom_up(self, cards, max_level):
+        h = _sparse_dataset(cards, n_rows=20, seed=1, max_level=max_level)
+        walked = [
+            int(h.cell_nodes(np.array([node.cube_base]))[0])
+            for node in h.iter_nodes_bottom_up()
+        ]
+        in_scope = [
+            mask for mask in range(1, 1 << len(cards))
+            if h.mask_levels[mask] <= h.max_level
+        ]
+        assert sorted(in_scope, key=lambda mask: h.node_rank[mask]) == walked
+        assert h.node_rank[0] == (1 << len(cards)) - 1  # the root comes last
+
+
 class TestIncrementalUpdates:
     def test_region_leaf_counts_shape_and_totals(self, biased_dataset):
         h = Hierarchy(biased_dataset)

@@ -201,6 +201,30 @@ class TestIngest:
         )
         assert status == 422
 
+    def test_nan_deadline_is_422(self, gateway, client):
+        status, __, data = client._request_once(
+            "POST", "/ingest",
+            body=b'{"id": "x", "deltas": []}',
+            headers={"X-Repro-Deadline": "nan"},
+        )
+        assert status == 422
+        assert json.loads(data)["error"] == "DataError"
+        assert gateway.service.auditor.n_batches == 0
+
+    def test_non_numeric_content_length_is_422_and_closes(self, gateway):
+        with socket.create_connection(gateway.address, timeout=10) as sock:
+            sock.sendall(
+                b"POST /ingest HTTP/1.1\r\nContent-Length: abc\r\n\r\n"
+            )
+            response = b""
+            while chunk := sock.recv(65536):  # until the server closes
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 422 "), head
+        payload = json.loads(body)
+        assert payload["error"] == "DataError"
+        assert "Content-Length" in payload["message"]
+
 
 class TestHealthAndErrors:
     def test_health_embeds_the_exact_stream_status(self, gateway, client):

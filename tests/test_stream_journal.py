@@ -169,6 +169,52 @@ class TestRecoveryEdges:
         assert report.n_batches == 0
         assert log.n_batches == 0
 
+    def test_records_rechecks_a_record_altered_after_open(self, tmp_path, config):
+        log = DeltaLog.create(tmp_path / "s", config)
+        fill(log, 3)
+        log.close()
+        opened = DeltaLog.open(tmp_path / "s")
+        seg = segments(tmp_path / "s")[0]
+        lines = seg.read_bytes().splitlines()
+        doctored = json.loads(lines[2])
+        doctored["payload"]["id"] = "evil"
+        lines[2] = json.dumps(doctored, sort_keys=True, separators=(",", ":")).encode()
+        seg.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(JournalError, match="sha256 mismatch at seq 2") as replay:
+            list(opened.records())
+        # Replay and open run the one record checker: the same message.
+        with pytest.raises(JournalError) as reopen:
+            DeltaLog.open(tmp_path / "s")
+        assert str(replay.value) == str(reopen.value)
+
+    def test_records_rejects_a_segment_head_not_linked_to_the_last_segment(
+        self, tmp_path, config
+    ):
+        from repro.stream.journal import _record_sha
+
+        small = StreamConfig(
+            schema=config.schema, protected=config.protected, segment_bytes=600
+        )
+        log = DeltaLog.create(tmp_path / "s", small)
+        fill(log, 12)
+        log.close()
+        opened = DeltaLog.open(tmp_path / "s")
+        second = segments(tmp_path / "s")[1]
+        lines = second.read_bytes().splitlines()
+        # A head with a valid sha of its own that links to a foreign record.
+        head = json.loads(lines[0])
+        head["prev"] = "0" * 64
+        head["sha"] = _record_sha(
+            head["prev"], head["seq"], head["type"], head["payload"]
+        )
+        lines[0] = json.dumps(head, sort_keys=True, separators=(",", ":")).encode()
+        second.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(
+            JournalError,
+            match=f"{second.name} at byte 0: chain link broken at seq {head['seq']}",
+        ):
+            list(opened.records())
+
     def test_missing_current_pointer_is_typed(self, tmp_path):
         with pytest.raises(JournalError, match="not a stream directory"):
             DeltaLog.recover(tmp_path / "nowhere")
@@ -265,6 +311,68 @@ class TestCompaction:
         assert report.orphans_removed == (stray.name,)
         assert not stray.exists()
         assert recovered.n_batches == 3
+
+
+    def test_each_row_chunk_is_on_disk_before_the_next_is_asked_for(
+        self, tmp_path, config, monkeypatch
+    ):
+        from repro.stream import journal as journal_mod
+
+        monkeypatch.setattr(journal_mod, "ROWS_PER_CHUNK", 1)
+        directory = tmp_path / "s"
+        log = DeltaLog.create(directory, config)
+        fill(log, 3)
+        on_disk_when_asked: list[list[int]] = []
+
+        def rows_on_disk() -> list[int]:
+            return [
+                envelope["payload"]["chunk"]
+                for path in segments(directory)
+                if _SEGMENT_RE.match(path.name).group(1) == "00000001"
+                for envelope in map(json.loads, path.read_bytes().splitlines())
+                if envelope["type"] == "rows"
+            ]
+
+        def chunks():
+            for i in range(3):
+                on_disk_when_asked.append(rows_on_disk())
+                yield [[i, [i % 2, i % 3], 1]]
+
+        log.compact(
+            chunks(), next_row_id=3, n_alive=3, alarms=[], events_dropped=0
+        )
+        assert on_disk_when_asked == [[], [0], [0, 1]]
+        log.close()
+        (rebase,) = [
+            r for r in DeltaLog.open(directory).records() if r.type == "rebase"
+        ]
+        assert rebase.payload["n_chunks"] == 3
+
+    def test_a_short_row_iterator_leaves_the_old_generation_live(
+        self, tmp_path, config, monkeypatch
+    ):
+        from repro.stream import journal as journal_mod
+
+        monkeypatch.setattr(journal_mod, "ROWS_PER_CHUNK", 1)
+        directory = tmp_path / "s"
+        log = DeltaLog.create(directory, config)
+        fill(log, 3)
+        before = sorted(p.name for p in segments(directory))
+        with pytest.raises(JournalError, match="needs 3 row chunks, got 2"):
+            log.compact(
+                iter([[[0, [0, 0], 1]], [[1, [1, 1], 0]]]), next_row_id=3,
+                n_alive=3, alarms=[], events_dropped=0,
+            )
+        current = json.loads((directory / CURRENT_FILE).read_text())
+        assert current["generation"] == 0
+        assert sorted(p.name for p in segments(directory)) == before
+        # The log object still appends to the live generation.
+        assert log.generation == 0
+        fill(log, 1, start=3)
+        log.close()
+        reopened = DeltaLog.open(directory)  # strict: no orphan left behind
+        assert reopened.n_batches == 4
+        assert reopened.rebase_seq is None
 
 
 class TestDeadLetters:
