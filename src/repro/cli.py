@@ -312,33 +312,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Experiments whose sweeps run through param-grid helpers rather than
-#: registered executor cells — the process backend cannot address them.
-_INPROC_ONLY_EXPERIMENTS = ("fig7", "fig8")
-
-
 def _build_executor(args: argparse.Namespace) -> "CellExecutor":
     """Assemble the fault-tolerant executor from the ``experiment`` flags."""
-    from repro.resilience import (
-        BACKEND_PROCESS,
-        CellExecutor,
-        Checkpoint,
-        RetryPolicy,
-        sweep_run_id,
-    )
+    from repro.resilience import CellExecutor, Checkpoint, RetryPolicy, sweep_run_id
 
     if args.max_retries < 0:
         raise ExperimentError(f"--max-retries must be >= 0, got {args.max_retries}")
     if args.workers < 1:
         raise ExperimentError(f"--workers must be >= 1, got {args.workers}")
-    if (
-        args.backend == BACKEND_PROCESS
-        and args.experiment in _INPROC_ONLY_EXPERIMENTS
-    ):
-        raise ExperimentError(
-            f"--backend process is not supported for {args.experiment}: its "
-            "sweep is not cell-addressable; use the default inproc backend"
-        )
     checkpoint = None
     if args.resume and not args.checkpoint:
         raise ExperimentError("--resume requires --checkpoint <path>")
@@ -416,11 +397,17 @@ def _dispatch_experiment(args: argparse.Namespace, executor: "CellExecutor") -> 
         print(result.table())
     elif args.experiment == "fig7":
         data = load_compas(rows or 6172, seed=11)
-        sweep = sweep_tau_c(data, "ProPublica", model=args.models[0], seed=args.seed)
+        sweep = sweep_tau_c(
+            data, "ProPublica", model=args.models[0], seed=args.seed,
+            executor=executor,
+        )
         print(sweep.table("Fig. 7 — varying tau_c"))
     elif args.experiment == "fig8":
         data = load_compas(rows or 6172, seed=11)
-        sweep = sweep_T(data, "ProPublica", tau_c=0.1, model=args.models[0], seed=args.seed)
+        sweep = sweep_T(
+            data, "ProPublica", tau_c=0.1, model=args.models[0], seed=args.seed,
+            executor=executor,
+        )
         print(sweep.table("Fig. 8 — T = 1 vs T = |X|"))
     elif args.experiment == "table3":
         data = load_adult(rows or 12000, seed=5)
@@ -610,6 +597,13 @@ def _print_stream_state(auditor) -> None:
             title=f"streamed Implicit Biased Set ({len(reports)} regions)",
         )
     )
+    _print_active_alarms(auditor)
+    print(f"digest {auditor.digest()}")
+
+
+def _print_active_alarms(auditor) -> None:
+    """The active drift alarm table of `stream replay` and `stream alarms`."""
+    schema = auditor.config.schema
     alarms = [
         (pattern.describe(schema), diff)
         for pattern, diff in auditor.monitor.active()
@@ -622,7 +616,6 @@ def _print_stream_state(auditor) -> None:
             title=f"active drift alarms ({len(alarms)})",
         )
     )
-    print(f"digest {auditor.digest()}")
 
 
 def cmd_stream_replay(args: argparse.Namespace) -> int:
@@ -647,18 +640,9 @@ def cmd_stream_alarms(args: argparse.Namespace) -> int:
         auditor = StreamAuditor.from_journal(log)
     finally:
         log.close()
-    schema = auditor.config.schema
-    active = auditor.monitor.active()
-    rows = [(pattern.describe(schema), diff) for pattern, diff in active]
-    print(
-        format_table(
-            ("alarmed region", "difference"),
-            rows,
-            precision=3,
-            title=f"active drift alarms ({len(rows)})",
-        )
-    )
+    _print_active_alarms(auditor)
     if args.events:
+        schema = auditor.config.schema
         event_rows = [
             (e.kind, e.batch_seq, e.pattern.describe(schema),
              "-" if e.difference is None else e.difference)
@@ -748,32 +732,26 @@ def cmd_data_list(args: argparse.Namespace) -> int:
     from repro.data.store import Registry
     from repro.serve.protocol import canonical_json_bytes, registry_payload
 
-    registry = Registry(args.root)
+    payload = registry_payload(Registry(args.root))
     if args.json:
         # Machine form: exactly the gateway's GET /datasets document.
-        sys.stdout.buffer.write(canonical_json_bytes(registry_payload(registry)))
+        sys.stdout.buffer.write(canonical_json_bytes(payload))
         return EXIT_OK
-    rows = []
-    for name, manifest in registry.entries():
-        nbytes = sum(
-            meta["nbytes"]
-            for shard in manifest["shards"]
-            for meta in shard["files"].values()
-        )
-        rows.append(
-            [
-                name,
-                str(manifest["n_rows"]),
-                str(len(manifest["shards"])),
-                _fmt_bytes(nbytes),
-                str(len(registry.live_leases(name))),
-            ]
-        )
+    rows = [
+        [
+            entry["name"],
+            str(entry["n_rows"]),
+            str(entry["n_shards"]),
+            _fmt_bytes(entry["nbytes"]),
+            str(entry["live_leases"]),
+        ]
+        for entry in payload["datasets"]
+    ]
     if rows:
         print(format_table(["name", "rows", "shards", "size", "leases"], rows))
     else:
-        print(f"no datasets under {registry.root}")
-    orphans = registry.tmp_dirs()
+        print(f"no datasets under {payload['root']}")
+    orphans = payload["tmp_dirs"]
     if orphans:
         print(
             f"{len(orphans)} orphaned .tmp-* dir(s) from interrupted "

@@ -10,11 +10,11 @@ accuracy and the method's wall-clock execution time.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.audit.violation import fairness_violation
-from repro.errors import DataError, ExperimentError
+from repro.errors import ExperimentError
 from repro.resilience import CellExecutor, CellSpec, register_cell
 from repro.baselines.coverage import coverage_remedy
 from repro.baselines.fairsmote import fair_smote
@@ -25,6 +25,7 @@ from repro.core.pipeline import RemedyConfig, RemedyPipeline
 from repro.data.dataset import Dataset
 from repro.data.split import train_test_split
 from repro.experiments.reporting import format_table
+from repro.experiments.runner import result_codec
 from repro.ml.metrics import FPR, accuracy
 from repro.ml.models import make_model
 
@@ -38,21 +39,6 @@ class BaselineRow:
     accuracy: float
     seconds: float  # method time (preprocessing or in-processing train)
     status: str = "ok"
-
-
-def baseline_row_to_dict(row: BaselineRow) -> dict:
-    """JSON-ready payload for checkpointing one :class:`BaselineRow`."""
-    return asdict(row)
-
-
-def baseline_row_from_dict(payload: object) -> BaselineRow:
-    """Rebuild a :class:`BaselineRow` from :func:`baseline_row_to_dict`."""
-    if not isinstance(payload, dict):
-        raise DataError(f"malformed BaselineRow payload: {payload!r}")
-    try:
-        return BaselineRow(**payload)
-    except TypeError as exc:
-        raise DataError(f"malformed BaselineRow payload: {payload!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -244,9 +230,7 @@ def run_baseline_comparison(
         )
         for approach in approaches
     ]
-    cells = executor.run_specs(
-        specs, encode=baseline_row_to_dict, decode=baseline_row_from_dict
-    )
+    cells = executor.run_specs(specs, *result_codec(BaselineRow))
     rows: list[BaselineRow] = []
     nan = float("nan")
     for approach, cell in zip(approaches, cells):

@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from repro.core.pipeline import RemedyConfig
@@ -16,7 +17,8 @@ from repro.core.samplers import PREFERENTIAL
 from repro.data.dataset import Dataset
 from repro.data.split import train_test_split
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import EvalResult, evaluate_model, evaluate_remedy
+from repro.experiments.runner import EvalResult, eval_cell, run_eval_cells
+from repro.resilience import CellExecutor
 
 DEFAULT_TAU_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -61,6 +63,36 @@ class SweepResult:
         return format_table(headers, rows, title=title)
 
 
+def _sweep(
+    figure: str,
+    parameter: str,
+    dataset: Dataset,
+    dataset_name: str,
+    model: str,
+    grid: Sequence[tuple[float, RemedyConfig]],
+    test_fraction: float,
+    seed: int,
+    executor: CellExecutor | None,
+) -> SweepResult:
+    """Evaluate the unremedied baseline and one remedy per ``(value, config)``.
+
+    Each evaluation runs as one cell of ``executor`` (a single-attempt
+    default when omitted), keyed ``(figure, variant, model)``; a failed
+    cell renders as ``-`` in the table.
+    """
+    executor = executor if executor is not None else CellExecutor()
+    train, test = train_test_split(dataset, test_fraction, seed=seed)
+    cell = partial(eval_cell, figure, train, test, model)
+    cells = [cell("original", seed=seed)]
+    cells.extend(cell(f"{parameter}={value}", config=config) for value, config in grid)
+    baseline, *results = run_eval_cells(executor, cells)
+    points = tuple(
+        SweepPoint(parameter, float(value), result)
+        for (value, _), result in zip(grid, results)
+    )
+    return SweepResult(dataset_name, model, baseline, points)
+
+
 def sweep_tau_c(
     dataset: Dataset,
     dataset_name: str,
@@ -71,18 +103,17 @@ def sweep_tau_c(
     technique: str = PREFERENTIAL,
     test_fraction: float = 0.3,
     seed: int = 0,
+    executor: CellExecutor | None = None,
 ) -> SweepResult:
     """Fig. 7: fairness index and accuracy as ``tau_c`` varies."""
-    train, test = train_test_split(dataset, test_fraction, seed=seed)
-    baseline = evaluate_model(train, test, model, variant="original", seed=seed)
-    points = []
-    for tau_c in tau_grid:
-        config = RemedyConfig(tau_c=tau_c, T=T, k=k, technique=technique, seed=seed)
-        result = evaluate_remedy(
-            train, test, model, config, variant=f"tau_c={tau_c}"
-        )
-        points.append(SweepPoint("tau_c", float(tau_c), result))
-    return SweepResult(dataset_name, model, baseline, tuple(points))
+    grid = [
+        (tau_c, RemedyConfig(tau_c=tau_c, T=T, k=k, technique=technique, seed=seed))
+        for tau_c in tau_grid
+    ]
+    return _sweep(
+        "fig7", "tau_c", dataset, dataset_name, model, grid, test_fraction, seed,
+        executor,
+    )
 
 
 def sweep_T(
@@ -95,15 +126,16 @@ def sweep_T(
     test_fraction: float = 0.3,
     seed: int = 0,
     T_values: Sequence[float] | None = None,
+    executor: CellExecutor | None = None,
 ) -> SweepResult:
     """Fig. 8: ``T = 1`` vs ``T = |X|`` (or a custom grid)."""
-    train, test = train_test_split(dataset, test_fraction, seed=seed)
     if T_values is None:
         T_values = (1.0, float(len(dataset.protected)))
-    baseline = evaluate_model(train, test, model, variant="original", seed=seed)
-    points = []
-    for T in T_values:
-        config = RemedyConfig(tau_c=tau_c, T=T, k=k, technique=technique, seed=seed)
-        result = evaluate_remedy(train, test, model, config, variant=f"T={T}")
-        points.append(SweepPoint("T", float(T), result))
-    return SweepResult(dataset_name, model, baseline, tuple(points))
+    grid = [
+        (T, RemedyConfig(tau_c=tau_c, T=T, k=k, technique=technique, seed=seed))
+        for T in T_values
+    ]
+    return _sweep(
+        "fig8", "T", dataset, dataset_name, model, grid, test_fraction, seed,
+        executor,
+    )

@@ -10,7 +10,7 @@ the improvement is a property of the method, not of one lucky split.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,8 +19,8 @@ from repro.audit.fairness_index import fairness_index
 from repro.core.pipeline import RemedyConfig, RemedyPipeline
 from repro.data.dataset import Dataset
 from repro.data.split import train_test_split
-from repro.errors import DataError
 from repro.experiments.reporting import format_table
+from repro.experiments.runner import result_codec
 from repro.ml.metrics import FPR, accuracy
 from repro.ml.models import make_model
 from repro.resilience import CellExecutor, CellSpec, register_cell
@@ -43,21 +43,6 @@ class SeedOutcome:
     @property
     def accuracy_cost(self) -> float:
         return self.accuracy_before - self.accuracy_after
-
-
-def seed_outcome_to_dict(outcome: SeedOutcome) -> dict:
-    """JSON-ready payload for checkpointing one :class:`SeedOutcome`."""
-    return asdict(outcome)
-
-
-def seed_outcome_from_dict(payload: object) -> SeedOutcome:
-    """Rebuild a :class:`SeedOutcome` from :func:`seed_outcome_to_dict`."""
-    if not isinstance(payload, dict):
-        raise DataError(f"malformed SeedOutcome payload: {payload!r}")
-    try:
-        return SeedOutcome(**payload)
-    except TypeError as exc:
-        raise DataError(f"malformed SeedOutcome payload: {payload!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -219,9 +204,7 @@ def run_seed_sweep(
         )
         for seed in seeds
     ]
-    cells = executor.run_specs(
-        specs, encode=seed_outcome_to_dict, decode=seed_outcome_from_dict
-    )
+    cells = executor.run_specs(specs, *result_codec(SeedOutcome))
     outcomes: list[SeedOutcome] = []
     failures: list[SeedFailure] = []
     for seed, cell in zip(seeds, cells):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -23,6 +23,26 @@ from repro.ml.models import make_model
 from repro.resilience import CellExecutor, CellSpec, register_cell
 
 DEFAULT_MODELS = ("dt", "rf", "lg", "nn")
+
+R = TypeVar("R")
+
+
+def result_codec(cls: type[R]) -> tuple[Callable[[R], dict], Callable[[object], R]]:
+    """``(encode, decode)`` checkpoint codec of a flat result dataclass.
+
+    ``decode`` raises :class:`~repro.errors.DataError` on a payload that is
+    not a dict of ``cls``'s fields.
+    """
+
+    def decode(payload: object) -> R:
+        if not isinstance(payload, dict):
+            raise DataError(f"malformed {cls.__name__} payload: {payload!r}")
+        try:
+            return cls(**payload)
+        except TypeError as exc:
+            raise DataError(f"malformed {cls.__name__} payload: {payload!r}") from exc
+
+    return asdict, decode
 
 
 @dataclass(frozen=True)
@@ -94,19 +114,31 @@ EVAL_HEADERS = (
 )
 
 
-def eval_result_to_dict(result: EvalResult) -> dict:
-    """JSON-ready payload for checkpointing one :class:`EvalResult`."""
-    return asdict(result)
+def eval_cell(
+    sweep: str,
+    train: Dataset,
+    test: Dataset,
+    model_name: str,
+    variant: str,
+    seed: int = 0,
+    config: RemedyConfig | None = None,
+) -> tuple[str, str, CellSpec]:
+    """One ``(variant, model, spec)`` cell for :func:`run_eval_cells`.
 
-
-def eval_result_from_dict(payload: object) -> EvalResult:
-    """Rebuild an :class:`EvalResult` from :func:`eval_result_to_dict`."""
-    if not isinstance(payload, dict):
-        raise DataError(f"malformed EvalResult payload: {payload!r}")
-    try:
-        return EvalResult(**payload)
-    except TypeError as exc:
-        raise DataError(f"malformed EvalResult payload: {payload!r}") from exc
+    Keyed ``(sweep, variant, model_name)``.  Without ``config`` the cell
+    evaluates the model, seeded with ``seed``, on ``train`` as is
+    (``eval.model``); with one it remedies ``train`` under ``config``
+    first and takes the seed from there (``eval.remedy``).
+    """
+    key = (sweep, variant, model_name)
+    params = {
+        "train": train, "test": test, "model_name": model_name, "variant": variant
+    }
+    if config is None:
+        spec = CellSpec(key, "eval.model", {**params, "seed": seed})
+    else:
+        spec = CellSpec(key, "eval.remedy", {**params, "config": config})
+    return variant, model_name, spec
 
 
 def run_eval_cells(
@@ -122,9 +154,7 @@ def run_eval_cells(
     executor's marker, so callers always get one row per requested cell.
     """
     outcomes = executor.run_specs(
-        [spec for _, _, spec in cells],
-        encode=eval_result_to_dict,
-        decode=eval_result_from_dict,
+        [spec for _, _, spec in cells], *result_codec(EvalResult)
     )
     results: list[EvalResult] = []
     for (variant, model, _), outcome in zip(cells, outcomes):

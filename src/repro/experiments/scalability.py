@@ -16,7 +16,7 @@ eight attributes (education and occupation added, as the paper does):
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +32,9 @@ from repro.core.samplers import MASSAGING, PREFERENTIAL, UNDERSAMPLING
 from repro.data.dataset import Dataset
 from repro.data.store.sharded import ShardedDataset
 from repro.data.synth.adult import SCALABILITY_PROTECTED, load_adult
-from repro.errors import DataError, ExperimentError
+from repro.errors import ExperimentError
 from repro.experiments.reporting import format_table
+from repro.experiments.runner import result_codec
 from repro.resilience import CellExecutor, CellSpec, register_cell
 
 DEFAULT_ATTR_GRID = (2, 3, 4, 5, 6, 7, 8)
@@ -53,21 +54,6 @@ class TimingPoint:
     status: str = "ok"
 
 
-def timing_point_to_dict(point: TimingPoint) -> dict:
-    """JSON-ready payload for checkpointing one :class:`TimingPoint`."""
-    return asdict(point)
-
-
-def timing_point_from_dict(payload: object) -> TimingPoint:
-    """Rebuild a :class:`TimingPoint` from :func:`timing_point_to_dict`."""
-    if not isinstance(payload, dict):
-        raise DataError(f"malformed TimingPoint payload: {payload!r}")
-    try:
-        return TimingPoint(**payload)
-    except TypeError as exc:
-        raise DataError(f"malformed TimingPoint payload: {payload!r}") from exc
-
-
 @dataclass(frozen=True)
 class ScalabilityResult:
     """Timing curve for one Fig. 9 panel (seconds vs. size or #attrs)."""
@@ -83,25 +69,50 @@ class ScalabilityResult:
         return format_table(rows=rows, headers=headers, title=f"Fig. {self.panel}")
 
 
-def _run_timing_cells(
+def _timing_panel(
     executor: CellExecutor | None,
     panel: str,
-    cells: Sequence[tuple[float, str, CellSpec]],
+    fn_id: str,
+    grid: Sequence[tuple[int, Dataset, int]],
+    label_param: str,
+    labels: Sequence[str],
+    **params: object,
 ) -> ScalabilityResult:
-    """Run ``(x, label, spec)`` timing cells; failures become marker points."""
+    """Run ``fn_id`` once per ``(x, dataset, n_attrs)`` grid point and label.
+
+    Each cell is keyed ``("fig9", panel, str(float(x)), label)``; a failed
+    one becomes a marker point instead of aborting the panel.
+    """
     executor = executor if executor is not None else CellExecutor()
+    cells = [
+        (
+            x,
+            label,
+            CellSpec(
+                key=("fig9", panel, str(float(x)), label),
+                fn_id=fn_id,
+                params={
+                    "base": base,
+                    "x": x,
+                    "n_attrs": n_attrs,
+                    label_param: label,
+                    **params,
+                },
+            ),
+        )
+        for x, base, n_attrs in grid
+        for label in labels
+    ]
     outcomes = executor.run_specs(
-        [spec for _, _, spec in cells],
-        encode=timing_point_to_dict,
-        decode=timing_point_from_dict,
+        [spec for _, _, spec in cells], *result_codec(TimingPoint)
     )
-    points: list[TimingPoint] = []
     nan = float("nan")
-    for (x, label, _), cell in zip(cells, outcomes):
-        if cell.ok:
-            points.append(cell.value)  # type: ignore[arg-type]
-        else:
-            points.append(TimingPoint(x, label, nan, 0, status=cell.marker))
+    points = [
+        cell.value
+        if cell.ok
+        else TimingPoint(float(x), label, nan, 0, status=cell.marker)
+        for (x, label, _), cell in zip(cells, outcomes)
+    ]
     return ScalabilityResult(panel, tuple(points))
 
 
@@ -183,21 +194,26 @@ def sharded_region_counts(
     return pos, neg, shape
 
 
-@register_cell("fig9.identify_attrs")
-def identify_attrs_cell(
-    base: Dataset, n_attrs: int, tau_c: float, T: float, k: int, method: str
+@register_cell("fig9.identify")
+def identify_cell(
+    base: Dataset, x: int, n_attrs: int, tau_c: float, T: float, k: int, method: str
 ) -> TimingPoint:
-    """Fig. 9a cell: time one identification run at ``n_attrs`` attributes."""
+    """Fig. 9a/9c cell: time one identification run over ``base``.
+
+    ``x`` is the point's abscissa (``n_attrs`` or ``base``'s row count);
+    the dataset is built by the driver, outside the timed region.
+    """
     attrs = SCALABILITY_PROTECTED[:n_attrs]
     start = time.perf_counter()
     ibs = identify_ibs(base, tau_c, T=T, k=k, method=method, attrs=attrs)
     seconds = time.perf_counter() - start
-    return TimingPoint(n_attrs, method, seconds, len(ibs))
+    return TimingPoint(x, method, seconds, len(ibs))
 
 
-@register_cell("fig9.remedy_attrs")
-def remedy_attrs_cell(
+@register_cell("fig9.remedy")
+def remedy_cell(
     base: Dataset,
+    x: int,
     n_attrs: int,
     tau_c: float,
     T: float,
@@ -205,48 +221,14 @@ def remedy_attrs_cell(
     technique: str,
     seed: int,
 ) -> TimingPoint:
-    """Fig. 9b cell: time one remedy run at ``n_attrs`` attributes."""
+    """Fig. 9b/9d cell: time one remedy run over ``base``, as :func:`identify_cell`."""
     attrs = SCALABILITY_PROTECTED[:n_attrs]
     start = time.perf_counter()
     result = remedy_dataset(
         base, tau_c, T=T, k=k, technique=technique, attrs=attrs, seed=seed
     )
     seconds = time.perf_counter() - start
-    return TimingPoint(n_attrs, technique, seconds, result.n_regions_remedied)
-
-
-@register_cell("fig9.identify_size")
-def identify_size_cell(
-    n_rows: int, n_attrs: int, tau_c: float, T: float, k: int, seed: int, method: str
-) -> TimingPoint:
-    """Fig. 9c cell: time one identification run at ``n_rows`` rows."""
-    attrs = SCALABILITY_PROTECTED[:n_attrs]
-    base = _dataset_for(n_rows, seed)
-    start = time.perf_counter()
-    ibs = identify_ibs(base, tau_c, T=T, k=k, method=method, attrs=attrs)
-    seconds = time.perf_counter() - start
-    return TimingPoint(n_rows, method, seconds, len(ibs))
-
-
-@register_cell("fig9.remedy_size")
-def remedy_size_cell(
-    n_rows: int,
-    n_attrs: int,
-    tau_c: float,
-    T: float,
-    k: int,
-    seed: int,
-    technique: str,
-) -> TimingPoint:
-    """Fig. 9d cell: time one remedy run at ``n_rows`` rows."""
-    attrs = SCALABILITY_PROTECTED[:n_attrs]
-    base = _dataset_for(n_rows, seed)
-    start = time.perf_counter()
-    result = remedy_dataset(
-        base, tau_c, T=T, k=k, technique=technique, attrs=attrs, seed=seed
-    )
-    seconds = time.perf_counter() - start
-    return TimingPoint(n_rows, technique, seconds, result.n_regions_remedied)
+    return TimingPoint(x, technique, seconds, result.n_regions_remedied)
 
 
 def identification_vs_attrs(
@@ -261,27 +243,11 @@ def identification_vs_attrs(
 ) -> ScalabilityResult:
     """Fig. 9a: identification runtime vs. number of protected attributes."""
     base = _dataset_for(n_rows, seed)
-    cells = [
-        (
-            float(n_attrs),
-            method,
-            CellSpec(
-                key=("fig9", "9a", str(float(n_attrs)), method),
-                fn_id="fig9.identify_attrs",
-                params={
-                    "base": base,
-                    "n_attrs": n_attrs,
-                    "tau_c": tau_c,
-                    "T": T,
-                    "k": k,
-                    "method": method,
-                },
-            ),
-        )
-        for n_attrs in attr_grid
-        for method in methods
-    ]
-    return _run_timing_cells(executor, "9a", cells)
+    grid = [(n_attrs, base, n_attrs) for n_attrs in attr_grid]
+    return _timing_panel(
+        executor, "9a", "fig9.identify", grid, "method", methods,
+        tau_c=tau_c, T=T, k=k,
+    )
 
 
 def remedy_vs_attrs(
@@ -300,28 +266,11 @@ def remedy_vs_attrs(
     memory resource limit"); pass it in ``techniques`` to include it anyway.
     """
     base = _dataset_for(n_rows, seed)
-    cells = [
-        (
-            float(n_attrs),
-            technique,
-            CellSpec(
-                key=("fig9", "9b", str(float(n_attrs)), technique),
-                fn_id="fig9.remedy_attrs",
-                params={
-                    "base": base,
-                    "n_attrs": n_attrs,
-                    "tau_c": tau_c,
-                    "T": T,
-                    "k": k,
-                    "technique": technique,
-                    "seed": seed,
-                },
-            ),
-        )
-        for n_attrs in attr_grid
-        for technique in techniques
-    ]
-    return _run_timing_cells(executor, "9b", cells)
+    grid = [(n_attrs, base, n_attrs) for n_attrs in attr_grid]
+    return _timing_panel(
+        executor, "9b", "fig9.remedy", grid, "technique", techniques,
+        tau_c=tau_c, T=T, k=k, seed=seed,
+    )
 
 
 def identification_vs_size(
@@ -335,28 +284,11 @@ def identification_vs_size(
     executor: CellExecutor | None = None,
 ) -> ScalabilityResult:
     """Fig. 9c: identification runtime vs. data size (8 protected attrs)."""
-    cells = [
-        (
-            float(n_rows),
-            method,
-            CellSpec(
-                key=("fig9", "9c", str(float(n_rows)), method),
-                fn_id="fig9.identify_size",
-                params={
-                    "n_rows": n_rows,
-                    "n_attrs": n_attrs,
-                    "tau_c": tau_c,
-                    "T": T,
-                    "k": k,
-                    "seed": seed,
-                    "method": method,
-                },
-            ),
-        )
-        for n_rows in size_grid
-        for method in methods
-    ]
-    return _run_timing_cells(executor, "9c", cells)
+    grid = [(n_rows, _dataset_for(n_rows, seed), n_attrs) for n_rows in size_grid]
+    return _timing_panel(
+        executor, "9c", "fig9.identify", grid, "method", methods,
+        tau_c=tau_c, T=T, k=k,
+    )
 
 
 def remedy_vs_size(
@@ -370,28 +302,11 @@ def remedy_vs_size(
     executor: CellExecutor | None = None,
 ) -> ScalabilityResult:
     """Fig. 9d: remedy runtime vs. data size (8 protected attrs)."""
-    cells = [
-        (
-            float(n_rows),
-            technique,
-            CellSpec(
-                key=("fig9", "9d", str(float(n_rows)), technique),
-                fn_id="fig9.remedy_size",
-                params={
-                    "n_rows": n_rows,
-                    "n_attrs": n_attrs,
-                    "tau_c": tau_c,
-                    "T": T,
-                    "k": k,
-                    "seed": seed,
-                    "technique": technique,
-                },
-            ),
-        )
-        for n_rows in size_grid
-        for technique in techniques
-    ]
-    return _run_timing_cells(executor, "9d", cells)
+    grid = [(n_rows, _dataset_for(n_rows, seed), n_attrs) for n_rows in size_grid]
+    return _timing_panel(
+        executor, "9d", "fig9.remedy", grid, "technique", techniques,
+        tau_c=tau_c, T=T, k=k, seed=seed,
+    )
 
 
 def speedup_summary(

@@ -14,6 +14,7 @@ for every downstream model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from repro.core.ibs import SCOPE_LATTICE, SCOPE_LEAF, SCOPE_TOP
@@ -32,9 +33,10 @@ from repro.experiments.runner import (
     DEFAULT_MODELS,
     EVAL_HEADERS,
     EvalResult,
+    eval_cell,
     run_eval_cells,
 )
-from repro.resilience import CellExecutor, CellSpec
+from repro.resilience import CellExecutor
 
 SCOPE_VARIANTS = (SCOPE_LATTICE, SCOPE_LEAF, SCOPE_TOP)
 
@@ -92,44 +94,16 @@ def run_tradeoff(
     """
     executor = executor if executor is not None else CellExecutor()
     train, test = train_test_split(dataset, test_fraction, seed=seed)
-
-    def eval_spec(model_name: str) -> CellSpec:
-        return CellSpec(
-            key=("tradeoff", "original", model_name),
-            fn_id="eval.model",
-            params={
-                "train": train,
-                "test": test,
-                "model_name": model_name,
-                "variant": "original",
-                "seed": seed,
-            },
-        )
-
-    def remedy_spec(model_name: str, variant: str, config: RemedyConfig) -> CellSpec:
-        return CellSpec(
-            key=("tradeoff", variant, model_name),
-            fn_id="eval.remedy",
-            params={
-                "train": train,
-                "test": test,
-                "model_name": model_name,
-                "config": config,
-                "variant": variant,
-            },
-        )
+    cell = partial(eval_cell, "tradeoff", train, test)
 
     scope_cells = []
     for model_name in models:
-        scope_cells.append(("original", model_name, eval_spec(model_name)))
+        scope_cells.append(cell(model_name, "original", seed=seed))
         for scope in scopes:
             config = RemedyConfig(
                 tau_c=tau_c, T=T, k=k, technique=PREFERENTIAL, scope=scope, seed=seed
             )
-            variant = f"scope:{scope}"
-            scope_cells.append(
-                (variant, model_name, remedy_spec(model_name, variant, config))
-            )
+            scope_cells.append(cell(model_name, f"scope:{scope}", config=config))
     scope_results = run_eval_cells(executor, scope_cells)
 
     technique_cells = []
@@ -145,9 +119,8 @@ def run_tradeoff(
                 scope=SCOPE_LATTICE,
                 seed=seed,
             )
-            variant = f"technique:{technique}"
             technique_cells.append(
-                (variant, model_name, remedy_spec(model_name, variant, config))
+                cell(model_name, f"technique:{technique}", config=config)
             )
     technique_results = run_eval_cells(executor, technique_cells)
 

@@ -95,11 +95,53 @@ class RetryPolicy:
 
     def is_retryable(self, exc: BaseException) -> bool:
         """True when ``exc`` belongs to a class this policy retries."""
-        if isinstance(exc, CellTimeout):
-            return self.retry_timeouts
-        if isinstance(exc, InternalError):
-            return False
-        return isinstance(exc, ReproError)
+        return classify_failure(exc, self.retry_timeouts)[1]
+
+
+def classify_failure(exc: BaseException, retry_timeouts: bool) -> tuple[str, bool]:
+    """``(status, retryable)`` of an attempt that raised ``exc``.
+
+    The one retryability matrix of both backends (see :class:`RetryPolicy`):
+    pool workers classify with it too and ship the pair, not the exception.
+    """
+    if isinstance(exc, CellTimeout):
+        return STATUS_TIMEOUT, retry_timeouts
+    retryable = isinstance(exc, ReproError) and not isinstance(exc, InternalError)
+    return STATUS_FAILED, retryable
+
+
+def retry_step(
+    policy: RetryPolicy,
+    sleep: Callable[[float], None],
+    key: Key,
+    attempt: int,
+    status: str,
+    retryable: bool,
+    error_type: str,
+) -> bool:
+    """Account failed attempt ``attempt`` of ``key``; True to run another.
+
+    Every failed attempt on either backend passes through here: a
+    ``TIMEOUT`` counts a deadline overrun, and a retryable failure with
+    budget left counts a retry and sleeps its deterministic backoff.
+    """
+    if status == STATUS_TIMEOUT:
+        obs.count("cells.deadline_overruns")
+        obs.event("cell.timeout", key="/".join(key), attempt=attempt)
+    if not retryable or attempt >= policy.max_attempts:
+        return False
+    delay = policy.delay(attempt)
+    obs.count("cells.retries")
+    obs.event(
+        "cell.retry",
+        key="/".join(key),
+        attempt=attempt,
+        delay=delay,
+        error=error_type,
+    )
+    if delay > 0:
+        sleep(delay)
+    return True
 
 
 @dataclass(frozen=True)
@@ -207,8 +249,8 @@ class CellExecutor:
         ``"inproc"`` (default) runs cells in the driver process and is the
         semantic oracle; ``"process"`` runs registered cell specs (see
         :meth:`run_specs` and :mod:`repro.resilience.pool`) in SIGKILL-able
-        spawn workers.  The closure-based :meth:`run_cell`/:meth:`run_cells`
-        API always runs in-process regardless of this setting.
+        spawn workers.  The closure-based :meth:`run_cell` always runs
+        in-process regardless of this setting.
     max_workers:
         Worker-process count for the ``"process"`` backend (ignored by
         ``"inproc"``).
@@ -321,68 +363,30 @@ class CellExecutor:
                 self.faults.on_attempt(key, attempt)
             return fn()
 
-        last_exc: BaseException = InternalError("cell never attempted")
-        status = STATUS_FAILED
-        attempt = 0
-        for attempt in range(1, self.policy.max_attempts + 1):
+        attempt = 1
+        while True:
             try:
                 value = call_with_deadline(invoke, self.deadline)
-                return CellOutcome(
-                    key=key, status=STATUS_OK, value=value, attempts=attempt
-                )
-            except CellTimeout as exc:
-                last_exc, status = exc, STATUS_TIMEOUT
-                obs.count("cells.deadline_overruns")
-                obs.event(
-                    "cell.timeout", key="/".join(key), attempt=attempt
-                )
-            except ReproError as exc:
-                last_exc, status = exc, STATUS_FAILED
             except Exception as exc:  # repro: ignore[R007] — recorded, by design
-                # Untyped exceptions (numpy LinAlgError, ZeroDivisionError in
-                # a degenerate cell, ...) are never retried, but they must
-                # degrade into a failure record like everything else — one
-                # broken cell must not abort the sweep.  KeyboardInterrupt is
-                # a BaseException and still propagates.
+                # Every failure — untyped ones (numpy LinAlgError, a
+                # ZeroDivisionError in a degenerate cell, ...) included —
+                # degrades into a failure record: one broken cell must not
+                # abort the sweep.  KeyboardInterrupt still propagates.
+                status, retryable = classify_failure(exc, self.policy.retry_timeouts)
+                error_type = type(exc).__name__
+                if retry_step(
+                    self.policy, self.sleep, key, attempt, status, retryable, error_type
+                ):
+                    attempt += 1
+                    continue
                 return CellOutcome(
                     key=key,
-                    status=STATUS_FAILED,
-                    error_type=type(exc).__name__,
+                    status=status,
+                    error_type=error_type,
                     error_message=str(exc),
                     attempts=attempt,
                 )
-            if attempt < self.policy.max_attempts and self.policy.is_retryable(
-                last_exc
-            ):
-                delay = self.policy.delay(attempt)
-                obs.count("cells.retries")
-                obs.event(
-                    "cell.retry",
-                    key="/".join(key),
-                    attempt=attempt,
-                    delay=delay,
-                    error=type(last_exc).__name__,
-                )
-                if delay > 0:
-                    self.sleep(delay)
-                continue
-            break
-        return CellOutcome(
-            key=key,
-            status=status,
-            error_type=type(last_exc).__name__,
-            error_message=str(last_exc),
-            attempts=attempt,
-        )
-
-    def run_cells(
-        self,
-        cells: Iterable[tuple[Sequence[str], Callable[[], object]]],
-        encode: Callable[[object], object] | None = None,
-        decode: Callable[[object], object] | None = None,
-    ) -> list[CellOutcome]:
-        """Run ``(key, fn)`` cells in order, returning their outcomes."""
-        return [self.run_cell(key, fn, encode=encode, decode=decode) for key, fn in cells]
+            return CellOutcome(key=key, status=STATUS_OK, value=value, attempts=attempt)
 
     def run_specs(
         self,

@@ -42,10 +42,12 @@ child processes (stdlib :mod:`multiprocessing`, **spawn** context):
   :meth:`WorkerPool.close` drains and joins every worker *before*
   releasing the segments, so a cell mid-read can never see one vanish.
 
-Retry semantics mirror :class:`~repro.resilience.executor.RetryPolicy`
-exactly: workers do not ship exception objects, they classify errors into
-kinds (``repro`` / ``internal`` / ``timeout`` / ``untyped``) that the
-parent maps onto the policy's retryability matrix, so markers and attempt
+Retry semantics are the in-process executor's own: workers do not ship
+exception objects, they classify them with
+:func:`~repro.resilience.executor.classify_failure` and ship
+``(status, retryable)``, and every failed attempt — a worker's result, a
+fault raised at dispatch, a crash, a deadline kill — goes through the same
+:func:`~repro.resilience.executor.retry_step`, so markers and attempt
 counts match the in-process oracle byte for byte.
 """
 
@@ -64,21 +66,15 @@ from typing import Callable, Mapping, Sequence
 
 from repro.data.dataset import Dataset
 from repro.data.store.sharded import ShardedDataset
-from repro.errors import (
-    CellTimeout,
-    InternalError,
-    ReproError,
-    ResilienceError,
-    WorkerCrash,
-)
+from repro.errors import CellTimeout, InternalError, ResilienceError, WorkerCrash
 from repro.obs import trace as obs
 from repro.resilience.executor import (
-    STATUS_FAILED,
     STATUS_OK,
-    STATUS_TIMEOUT,
     CellOutcome,
     Key,
     RetryPolicy,
+    classify_failure,
+    retry_step,
 )
 from repro.resilience.faults import FaultPlan, execute_chaos_action
 from repro.resilience.shm import (
@@ -88,12 +84,6 @@ from repro.resilience.shm import (
     release,
     swap_refs,
 )
-
-#: Error kinds a worker reports in place of exception objects.
-KIND_REPRO = "repro"
-KIND_INTERNAL = "internal"
-KIND_TIMEOUT = "timeout"
-KIND_UNTYPED = "untyped"
 
 #: How often the scheduler wakes to notice signals and deadlines (seconds).
 _POLL_INTERVAL = 0.1
@@ -182,15 +172,19 @@ class CellSpec:
 # -- worker side -------------------------------------------------------------
 
 
-def _classify(exc: BaseException) -> str:
-    """Map a worker-side exception onto a retryability kind."""
-    if isinstance(exc, CellTimeout):
-        return KIND_TIMEOUT
-    if isinstance(exc, InternalError):
-        return KIND_INTERNAL
-    if isinstance(exc, ReproError):
-        return KIND_REPRO
-    return KIND_UNTYPED
+def _failure(exc: BaseException, retry_timeouts: bool, message: str) -> dict:
+    """The failure record of an attempt that raised ``exc``.
+
+    Workers ship it as their result; the driver builds the same record for
+    the failures it sees itself (dispatch faults, crashes, deadline kills).
+    """
+    status, retryable = classify_failure(exc, retry_timeouts)
+    return {
+        "status": status,
+        "retryable": retryable,
+        "error_type": type(exc).__name__,
+        "error_message": message,
+    }
 
 
 def _invoke_cell(task: Mapping[str, object]) -> object:
@@ -215,12 +209,7 @@ def _run_task(task: Mapping[str, object]) -> dict:
             value = _invoke_cell(task)
         result = {"status": STATUS_OK, "value": value}
     except Exception as exc:  # repro: ignore[R007] — reported to the parent
-        result = {
-            "status": STATUS_FAILED,
-            "kind": _classify(exc),
-            "error_type": type(exc).__name__,
-            "error_message": str(exc),
-        }
+        result = _failure(exc, task["retry_timeouts"], str(exc))
     if tracer is not None:
         result["obs"] = tracer.export()
     return result
@@ -255,17 +244,8 @@ def _worker_loop(conn: mp_connection.Connection) -> None:
         except Exception as exc:  # repro: ignore[R007] — reported to the parent
             # The cell value could not be pickled back; report that as a
             # failure rather than dying with a half-written pipe.
-            conn.send(
-                (
-                    task_id,
-                    {
-                        "status": STATUS_FAILED,
-                        "kind": KIND_UNTYPED,
-                        "error_type": type(exc).__name__,
-                        "error_message": f"cell result could not be pickled: {exc}",
-                    },
-                )
-            )
+            message = f"cell result could not be pickled: {exc}"
+            conn.send((task_id, _failure(exc, task["retry_timeouts"], message)))
 
 
 # -- parent side -------------------------------------------------------------
@@ -315,7 +295,7 @@ class WorkerPool:
     """Schedules cell specs over ``max_workers`` SIGKILL-able spawn workers.
 
     The pool owns process lifecycle only; retry/degradation semantics come
-    from the shared :class:`~repro.resilience.executor.RetryPolicy`, fault
+    from the executor's shared classifier and retry step, fault
     injection from the shared :class:`~repro.resilience.faults.FaultPlan`
     (parent-side faults fire at dispatch, worker chaos descriptors ship
     with the task), and checkpointing stays in the driver via the
@@ -553,23 +533,8 @@ class WorkerPool:
         if self.faults is not None:
             try:
                 self.faults.on_attempt(key, item.attempt)
-            except CellTimeout as exc:
-                self._attempt_failed(
-                    item,
-                    STATUS_TIMEOUT,
-                    type(exc).__name__,
-                    str(exc),
-                    self.policy.is_retryable(exc),
-                )
-                return
             except Exception as exc:  # repro: ignore[R007] — degraded, by design
-                self._attempt_failed(
-                    item,
-                    STATUS_FAILED,
-                    type(exc).__name__,
-                    str(exc),
-                    self.policy.is_retryable(exc),
-                )
+                self._failed(item, exc)
                 return
             chaos = self.faults.worker_action(key, item.attempt)
         fn = resolve_cell(item.spec.fn_id)
@@ -581,6 +546,7 @@ class WorkerPool:
             "params": self._swap_datasets(item.spec.params),
             "chaos": chaos,
             "traced": obs.current_tracer() is not None,
+            "retry_timeouts": self.policy.retry_timeouts,
         }
         # Pickled once here (not via conn.send) so the shipped byte count
         # is observable; datasets were swapped for refs above, so this is
@@ -634,21 +600,7 @@ class WorkerPool:
                 ),
             )
             return
-        kind = result.get("kind", KIND_UNTYPED)
-        status = STATUS_TIMEOUT if kind == KIND_TIMEOUT else STATUS_FAILED
-        self._attempt_failed(
-            item,
-            status,
-            result.get("error_type"),
-            result.get("error_message"),
-            self._kind_retryable(kind),
-        )
-
-    def _kind_retryable(self, kind: str) -> bool:
-        """Parent-side mirror of ``RetryPolicy.is_retryable`` for kinds."""
-        if kind == KIND_TIMEOUT:
-            return self.policy.retry_timeouts
-        return kind == KIND_REPRO
+        self._attempt_failed(item, result)
 
     def _crashed(self, worker: _Worker) -> None:
         """Classify a worker that died mid-cell and retry or degrade."""
@@ -667,14 +619,7 @@ class WorkerPool:
             exitcode=exitcode,
         )
         self._respawn(worker)
-        crash = WorkerCrash(message)
-        self._attempt_failed(
-            item,
-            STATUS_FAILED,
-            type(crash).__name__,
-            message,
-            self.policy.is_retryable(crash),
-        )
+        self._failed(item, WorkerCrash(message))
 
     def _kill_on_deadline(self, worker: _Worker) -> None:
         """SIGKILL a worker whose cell overran the deadline; respawn it."""
@@ -682,39 +627,28 @@ class WorkerPool:
         worker.proc.kill()
         worker.proc.join()
         obs.count("pool.worker_kills")
-        obs.count("cells.deadline_overruns")
-        obs.event(
-            "cell.timeout", key="/".join(item.spec.key), attempt=item.attempt
-        )
         self._respawn(worker)
-        self._attempt_failed(
+        self._failed(
             item,
-            STATUS_TIMEOUT,
-            CellTimeout.__name__,
-            f"cell exceeded the {self.deadline:.3f}s deadline; worker killed",
-            self.policy.retry_timeouts,
+            CellTimeout(
+                f"cell exceeded the {self.deadline:.3f}s deadline; worker killed"
+            ),
         )
 
-    def _attempt_failed(
-        self,
-        item: _PendingCell,
-        status: str,
-        error_type: str | None,
-        error_message: str | None,
-        retryable: bool,
-    ) -> None:
-        if item.attempt < self.policy.max_attempts and retryable:
-            delay = self.policy.delay(item.attempt)
-            obs.count("cells.retries")
-            obs.event(
-                "cell.retry",
-                key="/".join(item.spec.key),
-                attempt=item.attempt,
-                delay=delay,
-                error=error_type,
-            )
-            if delay > 0:
-                self.sleep(delay)
+    def _failed(self, item: _PendingCell, exc: BaseException) -> None:
+        self._attempt_failed(item, _failure(exc, self.policy.retry_timeouts, str(exc)))
+
+    def _attempt_failed(self, item: _PendingCell, failure: Mapping) -> None:
+        """Retry ``item`` or complete it with the ``failure`` record."""
+        if retry_step(
+            self.policy,
+            self.sleep,
+            item.spec.key,
+            item.attempt,
+            failure["status"],
+            failure["retryable"],
+            failure["error_type"],
+        ):
             item.attempt += 1
             self._queue.appendleft(item)
             return
@@ -722,9 +656,9 @@ class WorkerPool:
             item,
             CellOutcome(
                 key=item.spec.key,
-                status=status,
-                error_type=error_type,
-                error_message=error_message,
+                status=failure["status"],
+                error_type=failure["error_type"],
+                error_message=failure["error_message"],
                 attempts=item.attempt,
             ),
         )

@@ -23,7 +23,8 @@ properties make this safe to automate:
   labels before/after, mapped through
   :meth:`~repro.stream.state.StreamState.alive_row_ids` onto stable row
   ids.  Techniques that add or drop rows have no faithful positional
-  mapping onto the stream's id space and are refused with a typed error.
+  mapping onto the stream's id space, so the technique is fixed, and a
+  remedy that changed the row count is refused with a typed error.
 """
 
 from __future__ import annotations
@@ -62,19 +63,12 @@ class RemedyPolicy:
     row selections).
     """
 
-    technique: str = MASSAGING
     budget: int = 8
     failure_threshold: int = 3
     probe_after: int = 2
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.technique != MASSAGING:
-            raise RemedyError(
-                f"automated remedy supports only {MASSAGING!r} (label-only, "
-                f"so the diff maps exactly onto stream row ids); got "
-                f"{self.technique!r}"
-            )
         if self.budget < 0:
             raise RemedyError(f"budget must be >= 0, got {self.budget}")
 
@@ -120,12 +114,12 @@ class RemedyController:
             config.tau_c,
             T=config.T,
             k=config.k,
-            technique=self.policy.technique,
+            technique=MASSAGING,
             seed=self.policy.seed + self.service.auditor.watermark,
         )
         if result.dataset.n_rows != dataset.n_rows:
             raise RemedyError(
-                f"technique {self.policy.technique!r} changed the row count "
+                f"technique {MASSAGING!r} changed the row count "
                 f"({dataset.n_rows} -> {result.dataset.n_rows}); label-only "
                 "remedies are required on a stream"
             )

@@ -287,8 +287,10 @@ class StreamAuditor:
                 f"(rebase at seq {log.rebase_seq}); earlier state was folded"
             )
         auditor = cls(log.config)
+        # A rebase is loaded into ``state`` one rows chunk at a time, as
+        # each is read, so replay never holds the whole rebase as lists.
         rebase: dict | None = None
-        rows: list[list] = []
+        state: StreamState | None = None
         chunks_seen = 0
         with obs.span("stream.replay", upto=upto_seq):
             for record in log.records():
@@ -298,22 +300,19 @@ class StreamAuditor:
                     continue
                 if record.type == RECORD_REBASE:
                     rebase = record.payload
-                    rows = []
                     chunks_seen = 0
-                    if int(rebase["n_chunks"]) == 0:
-                        auditor._load_rebase(rebase, rows)
-                        rebase = None
+                    state = StreamState.for_rebase(
+                        log.config.schema, log.config.protected,
+                        int(rebase["next_row"]),
+                    )
                 elif record.type == RECORD_ROWS:
                     if rebase is None:
                         raise JournalError(
                             f"rows record at seq {record.seq} without a "
                             "pending rebase"
                         )
-                    rows.extend(record.payload["rows"])
+                    state.load_rows(record.payload["rows"])
                     chunks_seen += 1
-                    if chunks_seen == int(rebase["n_chunks"]):
-                        auditor._load_rebase(rebase, rows)
-                        rebase = None
                 elif record.type == RECORD_BATCH:
                     if rebase is not None:
                         raise JournalError(
@@ -324,17 +323,17 @@ class StreamAuditor:
                     auditor.apply_batch(
                         record.seq, str(record.payload["id"]), deltas
                     )
+                if rebase is not None and chunks_seen == int(rebase["n_chunks"]):
+                    auditor._load_rebase(rebase, state)
+                    rebase = None
         if rebase is not None:
             raise JournalError(
                 "journal ends mid-rebase: row chunks are missing"
             )
         return auditor
 
-    def _load_rebase(self, payload: dict, rows: list[list]) -> None:
-        self.state = StreamState.from_rows(
-            self.config.schema, self.config.protected,
-            int(payload["next_row"]), rows,
-        )
+    def _load_rebase(self, payload: dict, state: StreamState) -> None:
+        self.state = state
         if self.state.n_alive != int(payload["n_rows"]):
             raise JournalError(
                 f"rebase promised {payload['n_rows']} live rows, chunks "

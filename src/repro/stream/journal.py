@@ -201,47 +201,48 @@ def _checked_records(
     ``segment`` opens its generation (its head must then start the chain
     with a genesis or rebase record).  Every record must parse, match its
     sha256, link to its predecessor's sha and carry the next seq; the first
-    that does not raises :class:`_TornRecord`.
+    that does not raises :class:`_TornRecord`.  The segment is read a line
+    at a time, so a scan holds one record in memory, not the whole file.
     """
-    data = segment.read_bytes()
     offset = 0
-    while offset < len(data):
-        newline = data.find(b"\n", offset)
-        if newline == -1:
-            raise _TornRecord(
-                segment, offset, "record without trailing newline (torn append)",
-                recoverable=True,
-            )
-        try:
-            envelope = json.loads(data[offset:newline])
-            seq = int(envelope["seq"])
-            rtype = str(envelope["type"])
-            payload = envelope["payload"]
-            prev = str(envelope["prev"])
-            sha = str(envelope["sha"])
-        except (KeyError, TypeError, ValueError):
-            raise _TornRecord(segment, offset, "unparsable record") from None
-        head = last is None
-        if sha != _record_sha(prev, seq, rtype, payload):
-            fault = f"sha256 mismatch at seq {seq} (chain link broken)"
-        elif head and prev != "":
-            fault = f"chain head at seq {seq} has non-empty prev"
-        elif head and rtype not in (RECORD_GENESIS, RECORD_REBASE):
-            fault = f"generation must start with genesis/rebase, got {rtype!r}"
-        elif not head and prev != last.sha:
-            fault = (
-                f"chain link broken at seq {seq}: prev does not match the "
-                "preceding record's sha"
-            )
-        elif not head and seq != last.seq + 1:
-            fault = f"sequence gap: expected seq {last.seq + 1}, got {seq}"
-        else:
-            fault = None
-        if fault is not None:
-            raise _TornRecord(segment, offset, fault)
-        last = JournalRecord(seq=seq, type=rtype, payload=payload, sha=sha)
-        yield last
-        offset = newline + 1
+    with open(segment, "rb") as fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                raise _TornRecord(
+                    segment, offset,
+                    "record without trailing newline (torn append)",
+                    recoverable=True,
+                )
+            try:
+                envelope = json.loads(line)
+                seq = int(envelope["seq"])
+                rtype = str(envelope["type"])
+                payload = envelope["payload"]
+                prev = str(envelope["prev"])
+                sha = str(envelope["sha"])
+            except (KeyError, TypeError, ValueError):
+                raise _TornRecord(segment, offset, "unparsable record") from None
+            head = last is None
+            if sha != _record_sha(prev, seq, rtype, payload):
+                fault = f"sha256 mismatch at seq {seq} (chain link broken)"
+            elif head and prev != "":
+                fault = f"chain head at seq {seq} has non-empty prev"
+            elif head and rtype not in (RECORD_GENESIS, RECORD_REBASE):
+                fault = f"generation must start with genesis/rebase, got {rtype!r}"
+            elif not head and prev != last.sha:
+                fault = (
+                    f"chain link broken at seq {seq}: prev does not match the "
+                    "preceding record's sha"
+                )
+            elif not head and seq != last.seq + 1:
+                fault = f"sequence gap: expected seq {last.seq + 1}, got {seq}"
+            else:
+                fault = None
+            if fault is not None:
+                raise _TornRecord(segment, offset, fault)
+            last = JournalRecord(seq=seq, type=rtype, payload=payload, sha=sha)
+            yield last
+            offset += len(line)
 
 
 @dataclass(frozen=True)

@@ -233,28 +233,30 @@ class StreamState:
             ]
 
     @classmethod
-    def from_rows(
-        cls,
-        schema: Schema,
-        protected: Sequence[str],
-        next_row_id: int,
-        rows: Sequence[Sequence],
+    def for_rebase(
+        cls, schema: Schema, protected: Sequence[str], next_row_id: int
     ) -> "StreamState":
-        """Rebuild a state from a rebase's ``[row_id, values, label]`` rows."""
+        """An empty state sized for a rebase header's ``next_row``.
+
+        Ids ``[0, next_row_id)`` exist and are dead until
+        :meth:`load_rows` writes the rebase's live rows, one ``rows``
+        chunk at a time.
+        """
         state = cls(schema, protected)
         while state._cap < max(next_row_id, 1):
             state._grow()
         state._n = next_row_id
+        return state
+
+    def load_rows(self, rows: Sequence[Sequence]) -> None:
+        """Write one rebase chunk of ``[row_id, values, label]`` live rows."""
         for row_id, values, label in rows:
             row_id = int(row_id)
-            if not 0 <= row_id < next_row_id:
-                raise DeltaError(
-                    f"rebase row id {row_id} outside [0, {next_row_id})"
-                )
+            if not 0 <= row_id < self._n:
+                raise DeltaError(f"rebase row id {row_id} outside [0, {self._n})")
             delta = InsertDelta(values=tuple(values), label=int(label))
-            state._validate_insert(delta, row_id)
-            state._write(row_id, delta)
-        return state
+            self._validate_insert(delta, row_id)
+            self._write(row_id, delta)
 
     def alive_row_ids(self) -> np.ndarray:
         """Stable ids of the alive rows, in id order.

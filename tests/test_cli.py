@@ -132,6 +132,26 @@ class TestExperiment:
         assert parallel == serial
         assert "Robustness" in parallel
 
+    def test_fig8_process_backend_matches_inproc_output(self, capsys):
+        args = ["experiment", "fig8", "--rows", "600", "--models", "dt"]
+        assert main(args) == 0
+        serial = capsys.readouterr().out
+        assert main(args + ["--backend", "process", "--workers", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert parallel == serial
+        assert "T = 1 vs T = |X|" in parallel
+
+    def test_fig7_checkpoint_then_resume_reprints_the_table(self, tmp_path, capsys):
+        ck = tmp_path / "c7.json"
+        args = ["experiment", "fig7", "--rows", "600", "--models", "dt",
+                "--checkpoint", str(ck)]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert ck.exists()
+        assert main(args + ["--resume"]) == 0
+        assert capsys.readouterr().out == first
+        assert "varying tau_c" in first
+
 
 ROBUSTNESS_ARGS = ["experiment", "robustness", "--rows", "600"]
 
@@ -156,11 +176,11 @@ class TestExitCodes:
         assert rc == 2
         assert "--max-retries" in capsys.readouterr().err
 
-    def test_process_backend_rejected_for_fig7_exits_2(self, capsys):
-        rc = main(["experiment", "fig7", "--rows", "600",
-                   "--backend", "process", "--workers", "2"])
-        assert rc == 2
-        assert "not cell-addressable" in capsys.readouterr().err
+    def test_fig7_timed_out_cells_exit_3(self, capsys):
+        rc = main(["experiment", "fig7", "--rows", "600", "--models", "dt",
+                   "--cell-timeout", "0.0001", "--max-retries", "0"])
+        assert rc == 3
+        assert "cell(s) failed" in capsys.readouterr().err
 
     def test_zero_workers_exits_2(self, capsys):
         rc = main(ROBUSTNESS_ARGS + ["--workers", "0"])

@@ -5,13 +5,19 @@ plumbing and the *direction* of each result; the full-size numbers live in
 benchmarks/ and EXPERIMENTS.md.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.data.synth import load_adult, load_compas
+from repro.errors import DataError
 from repro.experiments import (
     EVAL_HEADERS,
+    BaselineRow,
     EvalResult,
+    SeedOutcome,
+    TimingPoint,
     evaluate_model,
     evaluate_remedy,
     identification_vs_attrs,
@@ -29,6 +35,7 @@ from repro.experiments import (
 )
 from repro.core import RemedyConfig
 from repro.data.split import train_test_split
+from repro.experiments.runner import result_codec
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +80,25 @@ class TestRunner:
         assert all(
             x != x for x in (res.accuracy, res.fairness_index_fpr, res.fit_seconds)
         )
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            EvalResult("original", "dt", 0.75, 0.5, 0.25, 560, 0.01),
+            TimingPoint(8, "naive", 0.2, 32),
+            SeedOutcome(3, 0.4, 0.1, 0.7, 0.69),
+            BaselineRow("remedy", 0.0035, 0.825, 0.002, status="ok"),
+        ],
+        ids=lambda v: type(v).__name__,
+    )
+    def test_result_codec_round_trips(self, value):
+        encode, decode = result_codec(type(value))
+        payload = json.loads(json.dumps(encode(value)))
+        assert decode(payload) == value
+        with pytest.raises(DataError, match="malformed"):
+            decode([payload])
+        with pytest.raises(DataError, match="malformed"):
+            decode({**payload, "bogus": 1})
 
 
 class TestFig3Validation:
@@ -224,6 +250,9 @@ class TestFig9Scalability:
         )
         assert attrs_res.points and size_res.points
         assert all(p.seconds >= 0 for p in attrs_res.points + size_res.points)
+        # x is the grid's int, so tables print "3", not "3.0000"
+        xs = [p.x for p in attrs_res.points + size_res.points]
+        assert xs == [3, 3000] and all(type(x) is int for x in xs)
 
     def test_table_renders(self):
         res = identification_vs_attrs(n_rows=2000, attr_grid=(3,))

@@ -246,11 +246,6 @@ class TestCellExecutor:
         assert executor.n_failed == 1
         assert executor.failures[0].key == ("b",)
 
-    def test_run_cells_batches(self):
-        executor = CellExecutor()
-        outcomes = executor.run_cells([(("a",), lambda: 1), (("b",), lambda: 2)])
-        assert [o.value for o in outcomes] == [1, 2]
-
     def test_keys_normalised_to_strings(self):
         executor = CellExecutor()
         outcome = executor.run_cell(("seed", 3), lambda: None)

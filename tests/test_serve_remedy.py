@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.pattern import Pattern
-from repro.core.samplers import MASSAGING
+from repro.core.remedy import RemedyResult
 from repro.data.schema import Column, Schema
 from repro.errors import RemedyError
 from repro.serve.remedy import (
@@ -143,10 +143,16 @@ class TestRemedyOnDrift:
         assert controller.breaker.snapshot()["total_successes"] == 1
         service.close()
 
-    def test_non_label_only_techniques_are_refused(self):
+    def test_non_label_only_techniques_are_refused(self, drifted, monkeypatch):
+        import repro.serve.remedy as remedy_mod
+
+        def drops_a_row(dataset, *args, **kwargs):
+            return RemedyResult(dataset=dataset.drop(np.array([0])))
+
+        monkeypatch.setattr(remedy_mod, "remedy_dataset", drops_a_row)
+        service, _events = drifted
         with pytest.raises(RemedyError, match="label-only"):
-            RemedyPolicy(technique="uniform")
-        assert RemedyPolicy().technique == MASSAGING
+            RemedyController(service).compute_deltas()
 
     def test_negative_budget_is_refused(self):
         with pytest.raises(RemedyError, match="budget"):

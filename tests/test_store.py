@@ -610,9 +610,12 @@ class TestDataCli:
         out = capsys.readouterr().out
         assert "materialized adult-small: 50 rows in 3 shard(s)" in out
 
+        lease = Registry(root).acquire_lease("adult-small")
         assert main(["data", "list", "--root", root]) == 0
         out = capsys.readouterr().out
-        assert "adult-small" in out and "50" in out
+        row = [c.strip() for c in out.splitlines()[2].split("|")]
+        assert row[:3] == ["adult-small", "50", "3"] and row[4] == "1"
+        lease.unlink()
 
         assert main(["data", "verify", "adult-small", "--root", root]) == 0
         out = capsys.readouterr().out

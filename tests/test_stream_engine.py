@@ -251,6 +251,36 @@ class TestReplay:
         assert StreamAuditor.from_journal(log).digest() == live.digest()
         log.close()
 
+    def test_replay_loads_a_rebase_one_rows_chunk_at_a_time(
+        self, config, tmp_path, monkeypatch
+    ):
+        from repro.stream import journal as journal_mod
+        from repro.stream import state as state_mod
+
+        monkeypatch.setattr(journal_mod, "ROWS_PER_CHUNK", 1)
+        monkeypatch.setattr(state_mod, "ROWS_PER_CHUNK", 1)
+        log = DeltaLog.create(tmp_path / "s", config)
+        live = StreamAuditor(config)
+        deltas = skewed_batch() + [DeleteDelta(row=2)]
+        seq = log.append_batch("b0", [d.to_record() for d in deltas])
+        live.apply_batch(seq, "b0", deltas)
+        log.compact(
+            live.export_rows(), live.state.next_row_id, live.state.n_alive,
+            live.monitor.export_active(), 0,
+        )
+        chunk_sizes: list[int] = []
+        load_rows = state_mod.StreamState.load_rows
+
+        def spy(state, rows):
+            chunk_sizes.append(len(rows))
+            load_rows(state, rows)
+
+        monkeypatch.setattr(state_mod.StreamState, "load_rows", spy)
+        replayed = StreamAuditor.from_journal(log)
+        log.close()
+        assert chunk_sizes == [1] * live.state.n_alive
+        assert replayed.digest() == live.digest()
+
     def test_journal_records_round_trip_deltas(self, config, tmp_path):
         log = DeltaLog.create(tmp_path / "s", config)
         deltas = [insert(0, 1, 1), DeleteDelta(row=0)]
