@@ -441,7 +441,7 @@ def _dispatch_experiment(args: argparse.Namespace, executor: "CellExecutor") -> 
     if executor.n_failed:
         print(
             f"\n{executor.n_failed} cell(s) failed after retries — "
-            "see the status column above",
+            "see the status above",
             file=sys.stderr,
         )
         return EXIT_PARTIAL

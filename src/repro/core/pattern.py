@@ -70,6 +70,11 @@ class Pattern:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        # Pickle the items only: the cached hash is of strings, whose hash
+        # is salted per process, so a loading process must recompute it.
+        return (Pattern.from_sorted, (self._items,))
+
     def __len__(self) -> int:
         return len(self._items)
 

@@ -4,14 +4,19 @@ The paper's pipeline needs three things from its tabular substrate: boolean
 masks for conjunctive patterns over categorical attributes, fast positive /
 negative counts inside such regions, and cheap row-level edits (duplicate,
 drop, relabel) for the remedy samplers.  :class:`Dataset` provides exactly
-that on top of plain numpy arrays — categorical columns are ``int64`` code
-arrays indexing the column's domain, numeric columns are ``float64``.
+that on top of plain numpy arrays — categorical columns are integer code
+arrays indexing the column's domain (``int64`` in memory; a store may keep
+them narrower on disk), numeric columns are ``float64``.
 
 A dataset is an ordered tuple of row *chunks*.  A chunk has ``n_rows``,
-``column(index)`` (the array of schema column ``index``), ``labels()`` (int8)
-and ``relabeled(y)`` (the same columns under new labels).  Two kinds exist:
-the in-memory :class:`MemoryChunk` below, and the memory-mapped ``DiskShard``
-of :mod:`repro.data.store`.  Reductions run chunk by chunk and add up
+``column(index)`` (the array of schema column ``index``, categorical codes as
+``int64``), ``codes(index)`` (categorical column ``index`` at the width the
+chunk stores it), ``labels()`` (int8) and ``relabeled(y)`` (the same columns
+under new labels).  Two kinds exist: the in-memory :class:`MemoryChunk`
+below, whose columns are ``int64``, and the memory-mapped ``DiskShard`` of
+:mod:`repro.data.store`, whose categorical files may be narrower.  Counts and
+masks read ``codes``; everything that hands rows out reads ``column``, so
+callers always see ``int64`` codes.  Reductions run chunk by chunk and add up
 exactly; edits are copy-on-write per chunk, so a chunk an edit leaves whole
 is shared by identity with the source.  A dataset built from arrays is one
 chunk, and ``column``/``y`` hand back its arrays without copying.
@@ -20,6 +25,7 @@ chunk, and ``column``/``y`` hand back its arrays without copying.
 from __future__ import annotations
 
 from itertools import accumulate
+from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -40,6 +46,10 @@ class MemoryChunk:
 
     def column(self, index: int) -> np.ndarray:
         """The array of schema column ``index``."""
+        return self.arrays[index]
+
+    def codes(self, index: int) -> np.ndarray:
+        """Categorical column ``index`` as stored: the column array itself."""
         return self.arrays[index]
 
     def labels(self) -> np.ndarray:
@@ -70,6 +80,40 @@ def _join(parts: list[np.ndarray], dtype: type) -> np.ndarray:
 
 def _dtype(col: Column) -> type:
     return np.int64 if col.is_categorical else np.float64
+
+
+def joint_code_dtype(shape: Sequence[int]) -> np.dtype:
+    """The signed integer dtype the count kernel builds joint codes in.
+
+    Each row's joint code over cardinalities ``shape``, with its label
+    folded in (``y·prod(shape) + code``), lies below ``2·prod(shape)``;
+    this is the narrowest of ``int16``/``int32`` that holds that bound,
+    else ``int64``.  Narrow codes make the multiply-adds and ``bincount``'s
+    cast of its input cheaper (``int8`` measured no faster than ``int16``).
+    """
+    bound = 2 * prod(shape)
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _mixed_radix(
+    columns: Sequence[np.ndarray], shape: Sequence[int], dtype: np.dtype, n: int
+) -> np.ndarray:
+    """Row-wise mixed-radix code of the code ``columns`` over ``shape``.
+
+    Built by multiply-add in ``dtype``, which must hold ``prod(shape) - 1``;
+    every column must hold codes in ``[0, card)`` (a wider column is cast
+    down, which that bound makes exact).  Always a fresh array.
+    """
+    if not columns:
+        return np.zeros(n, dtype=dtype)
+    code = columns[0].astype(dtype)
+    for column, card in zip(columns[1:], shape[1:]):
+        code *= card
+        np.add(code, column, out=code, dtype=dtype, casting="unsafe")
+    return code
 
 
 class Dataset:
@@ -269,7 +313,7 @@ class Dataset:
     def _chunk_mask(self, chunk: object, assignment: Mapping[str, int]) -> np.ndarray:
         out = np.ones(chunk.n_rows, dtype=bool)
         for name, code in assignment.items():
-            out &= chunk.column(self._index[name]) == int(code)
+            out &= chunk.codes(self._index[name]) == int(code)
         return out
 
     def mask(self, assignment: Mapping[str, int]) -> np.ndarray:
@@ -291,27 +335,23 @@ class Dataset:
             total += int(m.sum())
         return pos, total - pos
 
-    def _chunk_codes(
-        self, chunk: object, attrs: Sequence[str], shape: tuple[int, ...]
-    ) -> np.ndarray:
-        if not attrs:
-            return np.zeros(chunk.n_rows, dtype=np.int64)
-        arrays = [chunk.column(self._index[a]) for a in attrs]
-        return np.ravel_multi_index(arrays, shape).astype(np.int64, copy=False)
-
     def joint_codes(self, attrs: Sequence[str]) -> tuple[np.ndarray, tuple[int, ...]]:
         """Mixed-radix joint code of each row over categorical ``attrs``.
 
         Returns ``(codes, shape)`` where ``codes[i]`` is the flattened cell
         index of row ``i`` in the cross-product space of the attribute
-        domains, and ``shape`` is the per-attribute cardinality tuple.  This
-        is the vectorised engine behind hierarchy-level counting: a single
-        ``bincount`` over the joint codes yields the size of every region at
-        once.
+        domains (``int64``, so callers can index with it), and ``shape`` is
+        the per-attribute cardinality tuple.  This is the vectorised engine
+        behind hierarchy-level counting: a single ``bincount`` over the joint
+        codes yields the size of every region at once.
         """
-        self.schema.require_categorical(attrs)
         shape = self.schema.cardinalities(attrs)
-        parts = [self._chunk_codes(c, attrs, shape) for c in self._chunks]
+        index = [self._index[a] for a in attrs]
+        int64 = np.dtype(np.int64)
+        parts = [
+            _mixed_radix([c.codes(j) for j in index], shape, int64, c.n_rows)
+            for c in self._chunks
+        ]
         return _join(parts, np.int64), shape
 
     def region_counts(
@@ -319,13 +359,14 @@ class Dataset:
     ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         """Positive and negative counts of every cell over ``attrs``.
 
-        Returns ``(pos, neg, shape)`` where ``pos``/``neg`` are flat arrays of
-        length ``prod(shape)`` indexed by the mixed-radix joint code.  When
-        ``rows`` (a boolean mask or integer index array) is given, only those
-        rows are counted — the hierarchy uses this to recount a single
-        region's slice without materialising a sub-dataset.  Each chunk is
-        ``bincount``ed on its own and the partials summed, which is
-        integer-exact: the result does not depend on the chunking.
+        Returns ``(pos, neg, shape)`` where ``pos``/``neg`` are contiguous
+        ``int64`` arrays of length ``prod(shape)`` indexed by the mixed-radix
+        joint code.  When ``rows`` (a boolean mask or integer index array) is
+        given, only those rows are counted, without materialising a
+        sub-dataset (``Hierarchy.region_leaf_counts`` counts a region's slice
+        this way).  Each chunk is ``bincount``ed on its own and the partials
+        summed, which is integer-exact: the result does not depend on the
+        chunking or on the width a chunk stores its codes at.
         """
         return self._reduce_counts(range(len(self._chunks)), attrs, rows)
 
@@ -335,18 +376,27 @@ class Dataset:
         attrs: Sequence[str],
         rows: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        self.schema.require_categorical(attrs)
+        """The count kernel: one fused ``bincount`` per chunk.
+
+        Each row's joint code over ``attrs`` gets its label folded in as the
+        leading digit (``y·prod(shape) + code``), built by multiply-add over
+        the chunk's stored-width codes in :func:`joint_code_dtype`.  One
+        ``bincount`` then counts negatives in its lower half and positives
+        in its upper half, so both come back as contiguous views of it.
+        """
         shape = self.schema.cardinalities(attrs)
-        size = int(np.prod(shape)) if shape else 1
+        size = prod(shape)
+        radix = (2,) + shape
+        dtype = joint_code_dtype(shape)
+        index = [self._index[a] for a in attrs]
         if rows is not None:
             rows = self._rows(rows)
             if rows.dtype != bool:
                 rows = np.sort(rows)
-        pos = neg = None
+        counts = None
         for i in chunk_indices:
             chunk = self._chunks[i]
-            codes = self._chunk_codes(chunk, attrs, shape)
-            labels = chunk.labels()
+            sel = None
             if rows is not None:
                 start, stop = self._offsets[i], self._offsets[i + 1]
                 if rows.dtype == bool:
@@ -358,17 +408,18 @@ class Dataset:
                     if lo == hi:
                         continue
                     sel = rows[lo:hi] - start
-                codes, labels = codes[sel], labels[sel]
-            p = np.bincount(codes[labels == 1], minlength=size)
-            q = np.bincount(codes[labels == 0], minlength=size)
-            if pos is None:
-                pos, neg = p, q
+            columns = [chunk.labels()] + [chunk.codes(j) for j in index]
+            code = _mixed_radix(columns, radix, dtype, chunk.n_rows)
+            if sel is not None:
+                code = code[sel]
+            part = np.bincount(code, minlength=2 * size)
+            if counts is None:
+                counts = part
             else:
-                pos += p
-                neg += q
-        if pos is None:
-            pos, neg = np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
-        return pos.astype(np.int64, copy=False), neg.astype(np.int64, copy=False), shape
+                counts += part
+        if counts is None:
+            counts = np.zeros(2 * size, dtype=np.int64)
+        return counts[size:], counts[:size], shape
 
     # -- row-level edits (return new datasets) --------------------------------
     def take(self, indices: np.ndarray) -> "Dataset":
@@ -540,4 +591,6 @@ def concat(datasets: Sequence[Dataset]) -> Dataset:
     return out
 
 
-__all__ = ["Dataset", "MemoryChunk", "Schema", "Column", "concat"]
+__all__ = [
+    "Dataset", "MemoryChunk", "Schema", "Column", "concat", "joint_code_dtype",
+]

@@ -3,7 +3,8 @@
 A store is a directory::
 
     <name>/
-      manifest.json          # format version, schema, row ranges, file hashes
+      manifest.json          # format version, schema, column dtypes, row
+                             # ranges, file hashes
       shard-00000/
         c0000.npy            # column 0 of the schema, rows [start, stop)
         c0001.npy
@@ -12,10 +13,13 @@ A store is a directory::
         ...
 
 Column files are plain ``.npy`` arrays named by schema column *index* (so
-arbitrary column names never reach the filesystem) and are opened lazily
-with ``mmap_mode="r"`` — this module is the single sanctioned place that
-memory-maps store files (rule R015 flags raw ``np.load(..., mmap_mode=...)``
-anywhere else).  The manifest is JSON written through the same
+arbitrary column names never reach the filesystem).  Format 2 writes each
+categorical column at the narrowest unsigned dtype that holds its codes
+(:func:`column_dtypes`) and records the dtypes in the manifest; format 1
+wrote every categorical column as ``int64`` and is still read.  Files are
+opened lazily with ``mmap_mode="r"`` — this module is the single sanctioned
+place that memory-maps store files (rule R015 flags raw
+``np.load(..., mmap_mode=...)`` anywhere else).  The manifest is JSON written through the same
 ``atomic_write_json`` machinery as schemas and checkpoints, and records a
 sha256 + byte size per file plus a hash of the schema block, so
 ``repro data verify`` can prove a store byte-identical to what was written.
@@ -35,7 +39,9 @@ from repro.data.schema import Schema
 from repro.data.schema_io import schema_from_dict, schema_to_dict
 from repro.errors import SchemaError, StoreCorruptionError, StoreError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+#: Format versions this build opens: 1 (``int64`` codes) and 2.
+READ_VERSIONS = (1, 2)
 MANIFEST_NAME = "manifest.json"
 LABELS_FILE = "y.npy"
 
@@ -48,6 +54,21 @@ def shard_dir_name(index: int) -> str:
 def column_file_name(index: int) -> str:
     """File name of the schema column at position ``index`` within a shard."""
     return f"c{index:04d}.npy"
+
+
+def column_dtypes(schema: Schema) -> tuple[np.dtype, ...]:
+    """The dtype format 2 stores each schema column at.
+
+    A categorical column takes ``np.min_scalar_type(cardinality - 1)``
+    (``uint8`` up to 256 values, then ``uint16``...); a numeric one
+    ``float64``.
+    """
+    return tuple(
+        np.min_scalar_type(col.cardinality - 1)
+        if col.is_categorical
+        else np.dtype(np.float64)
+        for col in schema
+    )
 
 
 def schema_digest(schema: Schema, protected: Iterable[str]) -> str:
@@ -115,6 +136,7 @@ def build_manifest(
         "format_version": FORMAT_VERSION,
         "schema": schema_to_dict(schema, protected),
         "schema_sha256": schema_digest(schema, protected),
+        "column_dtypes": [dtype.name for dtype in column_dtypes(schema)],
         "n_rows": int(n_rows),
         "shard_rows": int(shard_rows),
         "shards": shards,
@@ -127,10 +149,11 @@ def build_manifest(
 def read_manifest(directory: str | Path) -> dict:
     """Read and structurally validate a store's ``manifest.json``.
 
-    Raises :class:`~repro.errors.StoreError` when the file is absent or not a
-    store manifest, and :class:`~repro.errors.StoreCorruptionError` when the
-    structure is present but internally inconsistent (bad version, schema hash
-    mismatch, non-contiguous row ranges).
+    Raises :class:`~repro.errors.StoreError` when the file is absent, not a
+    store manifest or of a format version this build does not read, and
+    :class:`~repro.errors.StoreCorruptionError` when the structure is present
+    but internally inconsistent (schema hash mismatch, column dtypes that
+    disagree with the schema, non-contiguous row ranges).
     """
     path = Path(directory) / MANIFEST_NAME
     if not path.is_file():
@@ -142,12 +165,15 @@ def read_manifest(directory: str | Path) -> dict:
     if not isinstance(manifest, dict):
         raise StoreCorruptionError(f"{path} must hold a JSON object")
     version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in READ_VERSIONS:
         raise StoreError(
             f"{path}: format_version {version!r} is not supported "
-            f"(this build reads version {FORMAT_VERSION})"
+            f"(this build reads versions {', '.join(map(str, READ_VERSIONS))})"
         )
-    for key in ("schema", "schema_sha256", "n_rows", "shard_rows", "shards"):
+    keys = ("schema", "schema_sha256", "n_rows", "shard_rows", "shards")
+    if version >= 2:
+        keys += ("column_dtypes",)
+    for key in keys:
         if key not in manifest:
             raise StoreCorruptionError(f"{path}: manifest is missing {key!r}")
     validate_manifest(manifest, path)
@@ -158,7 +184,9 @@ def validate_manifest(manifest: Mapping[str, object], origin: object = "manifest
     """Check a manifest's internal consistency; return ``(schema, protected)``.
 
     Verifies the schema block parses, the recorded schema hash matches a
-    recomputation, and the shard row ranges tile ``[0, n_rows)`` contiguously.
+    recomputation, the recorded column dtypes (format 2) are the ones the
+    schema implies, and the shard row ranges tile ``[0, n_rows)``
+    contiguously.
     """
     try:
         schema, protected = schema_from_dict(manifest["schema"])
@@ -170,6 +198,13 @@ def validate_manifest(manifest: Mapping[str, object], origin: object = "manifest
             f"{origin}: schema_sha256 {manifest['schema_sha256']!r} does not "
             f"match the schema block (expected {expected})"
         )
+    if "column_dtypes" in manifest:
+        dtypes = [dtype.name for dtype in column_dtypes(schema)]
+        if manifest["column_dtypes"] != dtypes:
+            raise StoreCorruptionError(
+                f"{origin}: column_dtypes {manifest['column_dtypes']!r} do not "
+                f"match the schema (expected {dtypes})"
+            )
     shards = manifest["shards"]
     if not isinstance(shards, list):
         raise StoreCorruptionError(f"{origin}: 'shards' must be a list")
@@ -195,6 +230,7 @@ __all__ = [
     "FORMAT_VERSION",
     "MANIFEST_NAME",
     "LABELS_FILE",
+    "column_dtypes",
     "shard_dir_name",
     "column_file_name",
     "canonical_json",

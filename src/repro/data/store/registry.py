@@ -39,6 +39,7 @@ from repro.data.store.format import (
     LABELS_FILE,
     MANIFEST_NAME,
     build_manifest,
+    column_dtypes,
     column_file_name,
     file_sha256,
     read_manifest,
@@ -101,11 +102,13 @@ def write_store(
 ) -> dict:
     """Write a store directory at ``path`` from an iterable of chunk datasets.
 
-    Each chunk becomes exactly one shard.  All chunks must share the first
-    chunk's schema and protected set.  Returns the manifest.  The write is
-    crash-safe: files land in a ``.tmp-*`` sibling, the manifest is written
-    last, and the directory is renamed into place atomically, then its
-    parent is fsynced so the rename survives a power cut.
+    Each chunk becomes exactly one shard, its columns written at
+    :func:`~repro.data.store.format.column_dtypes` widths.  All chunks must
+    share the first chunk's schema and protected set.  Returns the manifest.
+    The write is crash-safe: files land in a ``.tmp-*`` sibling, the
+    manifest is written last, and the directory is renamed into place
+    atomically, then its parent is fsynced so the rename survives a power
+    cut.
     """
     _require_shard_rows(shard_rows)
     path = Path(path)
@@ -123,6 +126,7 @@ def write_store(
     for i, chunk in enumerate(chunks):
         if schema is None:
             schema, protected = chunk.schema, chunk.protected
+            dtypes = column_dtypes(schema)
         elif chunk.schema != schema or chunk.protected != protected:
             shutil.rmtree(tmp)
             raise StoreError(
@@ -134,7 +138,7 @@ def write_store(
         for ci, name in enumerate(schema.names):
             fname = column_file_name(ci)
             fpath = shard_dir / fname
-            save_array(fpath, chunk.column(name))
+            save_array(fpath, chunk.column(name).astype(dtypes[ci], copy=False))
             files[fname] = {
                 "sha256": file_sha256(fpath),
                 "nbytes": fpath.stat().st_size,

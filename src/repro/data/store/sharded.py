@@ -5,7 +5,8 @@ the store's shards, so the IBS engines, the hierarchy, ``remedy_dataset``
 and the ranker run on it unmodified.  A :class:`DiskShard` memory-maps its
 ``.npy`` column files per access and drops the mapping when the reducing
 loop moves on, so peak RSS is bounded by the shard size, not the dataset
-size.
+size.  The count kernel reads categorical files at the width they are
+stored; ``column`` widens them to ``int64``, as in memory.
 
 Edits are the dataset's, copy-on-write per chunk: ``drop``/``take`` with a
 boolean mask reuse every untouched shard object, and ``with_labels`` gives
@@ -37,30 +38,63 @@ class DiskShard:
     Nothing is cached here on purpose: a memory-mapped array holds its pages
     in the resident set for as long as it is alive, so the way a 10⁷-row scan
     stays inside a fixed memory budget is precisely that each shard's maps die
-    before the next shard's are created.  ``y``, when given, replaces the
+    before the next shard's are created.  ``cards`` holds each schema
+    column's cardinality (``None`` for a numeric column): codes read from a
+    file are checked against it, because a code out of range would
+    otherwise be counted in another cell.  ``y``, when given, replaces the
     stored labels (``with_labels`` never touches the column files).
     """
 
-    __slots__ = ("directory", "n_rows", "_y")
+    __slots__ = ("directory", "n_rows", "cards", "_y")
 
-    def __init__(self, directory: str | Path, n_rows: int, y: np.ndarray | None = None):
+    def __init__(
+        self,
+        directory: str | Path,
+        n_rows: int,
+        cards: Sequence[int | None],
+        y: np.ndarray | None = None,
+    ):
         self.directory = Path(directory)
         self.n_rows = int(n_rows)
+        self.cards = tuple(cards)
         self._y = y
 
     def column(self, index: int) -> np.ndarray:
-        """Memory-mapped view of schema column ``index`` for this shard."""
-        return self._load(column_file_name(index), mmap=True)
+        """Schema column ``index`` for this shard, categorical codes as
+        ``int64``: the memory map itself when the file is already that wide
+        (numeric columns and format-1 stores), else a widened copy."""
+        if self.cards[index] is None:
+            return self._load(column_file_name(index), mmap=True)
+        return self.codes(index).astype(np.int64, copy=False)
+
+    def codes(self, index: int) -> np.ndarray:
+        """Memory-mapped categorical column ``index`` at its stored width.
+
+        Raises :class:`~repro.errors.StoreCorruptionError` naming the file
+        when it holds a code outside ``[0, cardinality)``.
+        """
+        name = column_file_name(index)
+        arr = self._load(name, mmap=True)
+        card = self.cards[index]
+        if arr.dtype.kind not in "iu":
+            raise StoreCorruptionError(
+                f"shard file {self.directory / name} holds {arr.dtype} values, "
+                "not integer codes"
+            )
+        _require_below(arr, card, self.directory / name, "code")
+        return arr
 
     def labels(self) -> np.ndarray:
         """This shard's int8 labels (loaded, not mapped — they are tiny)."""
         if self._y is not None:
             return self._y
-        return self._load(LABELS_FILE, mmap=False).astype(np.int8, copy=False)
+        y = self._load(LABELS_FILE, mmap=False).astype(np.int8, copy=False)
+        _require_below(y, 2, self.directory / LABELS_FILE, "label")
+        return y
 
     def relabeled(self, y: np.ndarray) -> "DiskShard":
         """The same column files under replacement labels ``y``."""
-        return DiskShard(self.directory, self.n_rows, y)
+        return DiskShard(self.directory, self.n_rows, self.cards, y)
 
     def _load(self, name: str, mmap: bool) -> np.ndarray:
         path = self.directory / name
@@ -71,6 +105,20 @@ class DiskShard:
                 f"expected ({self.n_rows},)"
             )
         return np.asarray(arr)
+
+
+def _require_below(arr: np.ndarray, bound: int, path: Path, what: str) -> None:
+    """Raise naming ``path`` unless every value of ``arr`` is in
+    ``[0, bound)``.  One pass: viewed unsigned, a negative value is huge."""
+    if not arr.size:
+        return
+    unsigned = arr.view(np.dtype(f"u{arr.dtype.itemsize}"))
+    if unsigned.max() >= bound:
+        row = int(np.flatnonzero(unsigned >= bound)[0])
+        raise StoreCorruptionError(
+            f"shard file {path} has {what} {int(arr[row])} at row {row}, "
+            f"outside [0, {bound})"
+        )
 
 
 class ShardedDataset(Dataset):
@@ -99,8 +147,9 @@ class ShardedDataset(Dataset):
         path = Path(path)
         manifest = read_manifest(path)
         schema, protected = validate_manifest(manifest)
+        cards = [c.cardinality if c.is_categorical else None for c in schema]
         shards = [
-            DiskShard(path / entry["dir"], entry["stop"] - entry["start"])
+            DiskShard(path / entry["dir"], entry["stop"] - entry["start"], cards)
             for entry in manifest["shards"]
         ]
         dataset = cls._from_chunks(schema, shards, protected)
@@ -157,8 +206,10 @@ class ShardedDataset(Dataset):
     def to_dataset(self) -> Dataset:
         """Materialise into a plain one-chunk :class:`Dataset`.
 
-        The columns are concatenated into memory; a single-shard store's
-        stay read-only memory-mapped views.
+        The columns are concatenated into memory.  A single-shard store's
+        columns that are stored ``int64``/``float64`` (numeric columns, and
+        every column of a format-1 store) stay read-only memory-mapped views;
+        narrower categorical files are widened into memory.
         """
         return Dataset(
             self.schema,

@@ -16,7 +16,7 @@ from repro.core.pipeline import RemedyConfig
 from repro.core.samplers import PREFERENTIAL
 from repro.data.dataset import Dataset
 from repro.data.split import train_test_split
-from repro.experiments.reporting import format_table
+from repro.experiments.reporting import format_cell, format_table
 from repro.experiments.runner import EvalResult, eval_cell, run_eval_cells
 from repro.resilience import CellExecutor
 
@@ -42,25 +42,19 @@ class SweepResult:
     points: tuple[SweepPoint, ...]
 
     def table(self, title: str) -> str:
+        """The sweep as a table; a failed point shows ``-`` in every metric
+        and is listed below the table with its status (``TIMEOUT`` or
+        ``FAILED(<error class>)``), so a clean sweep prints the table alone."""
         headers = ("value", "FI(FPR)", "FI(FNR)", "accuracy")
+        labelled = [("original", self.baseline)]
+        labelled.extend((format_cell(p.value), p.result) for p in self.points)
         rows = [
-            (
-                "original",
-                self.baseline.fairness_index_fpr,
-                self.baseline.fairness_index_fnr,
-                self.baseline.accuracy,
-            )
+            (label, r.fairness_index_fpr, r.fairness_index_fnr, r.accuracy)
+            for label, r in labelled
         ]
-        rows.extend(
-            (
-                p.value,
-                p.result.fairness_index_fpr,
-                p.result.fairness_index_fnr,
-                p.result.accuracy,
-            )
-            for p in self.points
-        )
-        return format_table(headers, rows, title=title)
+        failed = [f"  {label}: {r.status}" for label, r in labelled if not r.ok]
+        text = format_table(headers, rows, title=title)
+        return "\n".join([text, "failed points:", *failed]) if failed else text
 
 
 def _sweep(

@@ -151,6 +151,17 @@ class TestExperiment:
         assert main(args + ["--resume"]) == 0
         assert capsys.readouterr().out == first
         assert "varying tau_c" in first
+        assert "failed points" not in first
+
+    def test_fig3_process_backend_matches_inproc_output(self, capsys):
+        """Subgroup patterns cross the process boundary as dict keys."""
+        args = ["experiment", "fig3", "--rows", "800", "--models", "dt"]
+        assert main(args) == 0
+        serial = capsys.readouterr().out
+        assert main(args + ["--backend", "process", "--workers", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert parallel == serial
+        assert "| yes" in parallel
 
 
 ROBUSTNESS_ARGS = ["experiment", "robustness", "--rows", "600"]
@@ -180,7 +191,14 @@ class TestExitCodes:
         rc = main(["experiment", "fig7", "--rows", "600", "--models", "dt",
                    "--cell-timeout", "0.0001", "--max-retries", "0"])
         assert rc == 3
-        assert "cell(s) failed" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "cell(s) failed" in captured.err
+        # Each failed point is listed under the table with its status.
+        listed = captured.out.split("failed points:\n", 1)[1].splitlines()
+        assert listed == [
+            f"  {value}: TIMEOUT"
+            for value in ("original", "0.1000", "0.3000", "0.5000", "0.7000", "0.9000")
+        ]
 
     def test_zero_workers_exits_2(self, capsys):
         rc = main(ROBUSTNESS_ARGS + ["--workers", "0"])

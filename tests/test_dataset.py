@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import Hierarchy
 from repro.data import Column, Dataset, Schema, concat, schema_from_domains
+from repro.data.dataset import joint_code_dtype
 from repro.data.store import ShardedDataset
 from repro.errors import DataError, DeltaError, SchemaError
 from repro.stream.deltas import InsertDelta, delta_from_record
@@ -118,6 +119,56 @@ class TestMasksAndCounts:
         codes, shape = toy_dataset.joint_codes(("age", "sex"))
         assert codes.shape == (12,)
         assert codes.max() < np.prod(shape)
+
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [
+            ((), np.int16),
+            ((2, 3), np.int16),
+            ((16383,), np.int16),  # 2·16383 = 2¹⁵ − 2: the last int16 leaf
+            ((128, 128), np.int32),  # 2·16384 = 2¹⁵
+            ((2**30 - 1,), np.int32),  # 2·(2³⁰ − 1) = 2³¹ − 2
+            ((2**15, 2**15), np.int64),  # 2·2³⁰ = 2³¹: the int64 fallback
+            ((2**20, 2**20, 2), np.int64),
+        ],
+    )
+    def test_joint_code_dtype_boundaries(self, shape, dtype):
+        assert joint_code_dtype(shape) == np.dtype(dtype)
+
+    @pytest.mark.parametrize("cards", [(3, 2, 4), (200, 2, 100), (5,)])
+    def test_kernel_matches_ravel_multi_index_reference(self, cards):
+        """The fused kernel and the multiply-add joint codes against the
+        reference they replaced: ``ravel_multi_index`` plus one ``bincount``
+        per label.  (200, 2, 100) builds its codes in int32."""
+        rng = np.random.default_rng(len(cards))
+        names = [f"x{i}" for i in range(len(cards))]
+        schema = schema_from_domains(
+            {n: tuple(range(c)) for n, c in zip(names, cards)}
+        )
+        n = 3000
+        columns = {n_: rng.integers(0, c, n) for n_, c in zip(names, cards)}
+        data = Dataset(schema, columns, rng.integers(0, 2, n), protected=names)
+        rows = rng.random(n) < 0.3
+        for attrs in (names, names[::-1], names[:1], []):
+            shape = tuple(cards[names.index(a)] for a in attrs)
+            arrays = [columns[a] for a in attrs]
+            ref = np.ravel_multi_index(arrays, shape) if attrs else np.zeros(n, int)
+            codes, got_shape = data.joint_codes(attrs)
+            assert got_shape == shape
+            assert codes.dtype == np.int64 and np.array_equal(codes, ref)
+            size = int(np.prod(shape))
+            y = data.y
+            for sel in (None, rows, np.flatnonzero(rows)):
+                keep = rows if sel is not None else np.ones(n, bool)
+                pos, neg, __ = data.region_counts(attrs, rows=sel)
+                assert pos.flags.c_contiguous and neg.flags.c_contiguous
+                assert pos.dtype == neg.dtype == np.int64
+                assert np.array_equal(
+                    pos, np.bincount(ref[keep & (y == 1)], minlength=size)
+                )
+                assert np.array_equal(
+                    neg, np.bincount(ref[keep & (y == 0)], minlength=size)
+                )
 
 
 class TestRowEdits:

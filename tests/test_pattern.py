@@ -1,7 +1,14 @@
 """Unit tests for repro.core.pattern."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import Pattern
 from repro.errors import PatternError
 
@@ -120,3 +127,34 @@ class TestDatasetHooks:
 
     def test_describe_empty(self, toy_dataset):
         assert "entire dataset" in Pattern().describe(toy_dataset.schema)
+
+
+class TestPickle:
+    def test_round_trip(self):
+        p = Pattern([("sex", 0), ("race", 1)])
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and hash(back) == hash(p) and back.items == p.items
+
+    def test_unpickled_under_another_hash_seed_hits_a_dict(self):
+        """String hashes are salted per process (as in a spawned pool
+        worker), so a loaded pattern must hash with the loader's salt."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        key = "Pattern([('race', 1), ('sex', 0)])"
+
+        def run(seed, code, data=None):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path}
+            prelude = "import pickle, sys\nfrom repro.core import Pattern\n"
+            return subprocess.run(
+                [sys.executable, "-c", prelude + code], input=data, env=env,
+                capture_output=True, check=True, timeout=60,
+            ).stdout
+
+        blob = run(1, f"sys.stdout.buffer.write(pickle.dumps({key}))")
+        out = run(
+            2,
+            "p = pickle.loads(sys.stdin.buffer.read())\n"
+            f"print({{{key}: 'hit'}}.get(p, 'miss'))",
+            blob,
+        )
+        assert out.decode().strip() == "hit"

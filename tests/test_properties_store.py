@@ -12,7 +12,9 @@ in-memory :class:`~repro.data.Dataset` it was built from:
   duplicates, ``drop``, ``append_rows``, ``duplicate_rows``,
   ``with_labels``) keep both forms equal, counts included, at every step;
 * a disk round-trip (write_store -> open) preserves every column bit
-  for bit, and ``remedy_dataset`` runs unmodified on the sharded form.
+  for bit, with categorical files of mixed stored widths (``uint8`` and
+  ``uint16``) read back as ``int64``, and ``remedy_dataset`` runs
+  unmodified on the sharded form.
 """
 
 from __future__ import annotations
@@ -32,7 +34,11 @@ ENGINES = ("naive", "optimized", "vectorized")
 
 @st.composite
 def store_cases(draw):
-    """(dataset, shard_rows): random schema, rows and shard geometry."""
+    """(dataset, shard_rows): random schema, rows and shard geometry.
+
+    Besides the protected attributes, a schema may carry an unprotected
+    categorical ``wide`` whose cardinality straddles the ``uint8``/``uint16``
+    store widths, and a numeric ``score``."""
     n_attrs = draw(st.integers(2, 3))
     cards = [draw(st.integers(2, 4)) for __ in range(n_attrs)]
     n_rows = draw(st.integers(1, 80))
@@ -40,19 +46,22 @@ def store_cases(draw):
     # rows per shard, and one shard swallowing the whole table.
     shard_rows = draw(st.sampled_from((1, 2, 3, 7, 13, 200)))
     seed = draw(st.integers(0, 10_000))
+    wide = draw(st.sampled_from((None, 5, 256, 257, 1000)))
     with_numeric = draw(st.booleans())
     rng = np.random.default_rng(seed)
     names = [f"x{i}" for i in range(n_attrs)]
-    domain_schema = schema_from_domains(
-        {n: tuple(f"v{j}" for j in range(c)) for n, c in zip(names, cards)}
-    )
+    domains = {n: tuple(f"v{j}" for j in range(c)) for n, c in zip(names, cards)}
     columns = {
         name: rng.integers(0, card, size=n_rows)
         for name, card in zip(names, cards)
     }
-    schema = domain_schema
+    if wide is not None:
+        domains["wide"] = tuple(f"w{j}" for j in range(wide))
+        # Pin the top code so the widest value is always stored.
+        columns["wide"] = np.r_[wide - 1, rng.integers(0, wide, size=n_rows - 1)]
+    schema = schema_from_domains(domains)
     if with_numeric:
-        schema = Schema(list(domain_schema) + [Column("score", "numeric")])
+        schema = Schema(list(schema) + [Column("score", "numeric")])
         columns["score"] = rng.normal(size=n_rows)
     y = rng.integers(0, 2, size=n_rows)
     dataset = Dataset(schema, columns, y, protected=tuple(names))
@@ -105,6 +114,12 @@ class TestRegionCountParity:
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
             assert np.array_equal(sharded.y, dataset.y)
             assert_counts_byte_identical(dataset, sharded, dataset.protected)
+            if "wide" in dataset.schema:
+                attrs = ("wide",) + dataset.protected[:1]
+                assert_counts_byte_identical(dataset, sharded, attrs)
+                assert np.array_equal(
+                    sharded.joint_codes(attrs)[0], dataset.joint_codes(attrs)[0]
+                )
 
 
 class TestIbsParity:

@@ -11,17 +11,21 @@ from __future__ import annotations
 
 import io
 import json
+import shutil
 import signal
 import socket
 import struct
 import sys
 import threading
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import EXIT_OK, main
 from repro.data.schema import Column, Schema
+from repro.data.store import ShardedDataset
 from repro.data.store.format import manifest_digest, read_manifest
 from repro.data.store.registry import Registry, verify_store
 from repro.data.synth import load_compas
@@ -505,6 +509,22 @@ class TestFetchTier:
                 assert local == remote
         # No .tmp-* droppings left behind.
         assert not list(dest.parent.glob(".tmp-*"))
+
+    def test_fetch_installs_a_format_1_store_as_is(
+        self, registry_gateway, registry_client, tmp_path
+    ):
+        """Files travel byte for byte, so a format-1 store keeps its version."""
+        __, registry = registry_gateway
+        fixture = Path(__file__).parent / "fixtures" / "store_v1"
+        shutil.copytree(fixture, registry.path_of("legacy"))
+        dest = registry_client.fetch_dataset("legacy", tmp_path / "local")
+        verify_store(dest)
+        assert read_manifest(dest) == read_manifest(fixture)
+        assert read_manifest(dest)["format_version"] == 1
+        with ShardedDataset.open(dest) as local:
+            pos, neg, __ = local.region_counts(local.protected)
+            mpos, mneg, __ = local.to_dataset().region_counts(local.protected)
+            assert np.array_equal(pos, mpos) and np.array_equal(neg, mneg)
 
     def test_fetch_fsyncs_the_destination_after_the_rename(
         self, registry_client, tmp_path, dir_fsynced

@@ -9,12 +9,16 @@ routing, and the ``repro data`` CLI verbs.  The sharded==in-memory equivalence
 
 from __future__ import annotations
 
+import hashlib
 import pickle
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import identify_ibs
 from repro.data import Column, Dataset, Schema
 from repro.data.dataset import MemoryChunk
 from repro.data.store import (
@@ -59,6 +63,7 @@ from repro.resilience import (
     WorkerPool,
     published_segments,
 )
+from tests.test_ibs import reports_digest
 
 
 def small_dataset(n_rows: int = 23, seed: int = 7) -> Dataset:
@@ -89,6 +94,41 @@ def store_of(tmp_path, dataset: Dataset, shard_rows: int):
     return path
 
 
+#: A format-1 store (int64 codes) written by the format-1 writer: 60 rows
+#: in 3 shards over protected ``a`` (2 values), ``b`` (3), ``c`` (4) and a
+#: numeric ``score``.
+V1_STORE = Path(__file__).parent / "fixtures" / "store_v1"
+#: ``rows_digest`` of the fixture as the format-1 reader saw it.
+V1_ROWS_DIGEST = "9390f4e2eb98a2e441b830f4d45bb4ecc1194a0406bccbe878885e2329380f6e"
+#: ``identify_ibs(store, 0.2, k=2)`` on the fixture under the format-1 reader.
+V1_IBS = (35, "2a2a5f1cedfc26d30fe72e000aafaae51debc1cd6ef2b42fdf28ea04fcff8e30")
+
+
+def rows_digest(dataset: Dataset) -> str:
+    """sha256 over every column's bytes (by name) and the labels."""
+    digest = hashlib.sha256()
+    for name in dataset.schema.names:
+        digest.update(name.encode("utf-8"))
+        digest.update(np.ascontiguousarray(dataset.column(name)).tobytes())
+    digest.update(np.ascontiguousarray(dataset.y).tobytes())
+    return digest.hexdigest()
+
+
+def assert_counts_equal(a: Dataset, b: Dataset, attrs) -> None:
+    pos, neg, shape = a.region_counts(attrs)
+    bpos, bneg, bshape = b.region_counts(attrs)
+    assert bshape == shape
+    assert bpos.dtype == pos.dtype == np.int64 and bneg.dtype == neg.dtype
+    assert bpos.tobytes() == pos.tobytes() and bneg.tobytes() == neg.tobytes()
+
+
+def overwrite_value(path: Path, row: int, value: int) -> None:
+    """Set one value of a ``.npy`` file in place (same dtype and shape)."""
+    arr = np.load(path)
+    arr[row] = value
+    np.save(path, arr)
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         ds = small_dataset()
@@ -106,6 +146,7 @@ class TestManifest:
         assert manifest["schema_sha256"] == schema_digest(
             ds.schema, ds.protected
         )
+        assert manifest["column_dtypes"] == ["uint8", "uint8", "float64"]
         # every shard records both columns' files plus labels, with sizes
         for entry in manifest["shards"]:
             assert set(entry["files"]) == {"c0000.npy", "c0001.npy",
@@ -146,6 +187,18 @@ class TestManifest:
         manifest["schema_sha256"] = "0" * 64
         write_manifest(path, manifest)
         with pytest.raises(StoreCorruptionError, match="schema_sha256"):
+            read_manifest(path)
+
+    def test_column_dtypes_must_match_the_schema(self, tmp_path):
+        path = store_of(tmp_path, small_dataset(), shard_rows=10)
+        manifest = read_manifest(path)
+        manifest["column_dtypes"][0] = "int64"
+        write_manifest(path, manifest)
+        with pytest.raises(StoreCorruptionError, match="column_dtypes"):
+            read_manifest(path)
+        del manifest["column_dtypes"]
+        write_manifest(path, manifest)
+        with pytest.raises(StoreCorruptionError, match="missing 'column_dtypes'"):
             read_manifest(path)
 
     def test_non_contiguous_ranges_are_corruption(self, tmp_path):
@@ -201,6 +254,114 @@ class TestVerify:
             load_array(junk)
         with pytest.raises(StoreCorruptionError, match="is missing"):
             load_array(tmp_path / "absent.npy")
+
+
+class TestFormatVersions:
+    """Format 2 writes narrow categorical files; format-1 stores still open,
+    verify and count, and a code out of range fails naming its file."""
+
+    @pytest.fixture
+    def v1_store(self, tmp_path):
+        path = tmp_path / "legacy"
+        shutil.copytree(V1_STORE, path)
+        return path
+
+    def test_v1_store_opens_verifies_and_counts(self, v1_store, capsys):
+        assert read_manifest(v1_store)["format_version"] == 1
+        assert verify_store(v1_store)["files_checked"] == 15
+        assert main(["data", "verify", "legacy", "--root", str(v1_store.parent)]) == 0
+        assert "ok" in capsys.readouterr().out
+        with ShardedDataset.open(v1_store) as store:
+            assert rows_digest(store) == V1_ROWS_DIGEST
+            memory = store.to_dataset()
+            assert_counts_equal(memory, store, store.protected)
+            assert_counts_equal(memory, store, ("c", "a"))
+            reports = identify_ibs(store, 0.2, k=2)
+            assert reports == identify_ibs(memory, 0.2, k=2)
+            assert (len(reports), reports_digest(reports)) == V1_IBS
+
+    def test_v2_round_trip_with_a_uint16_column(self, tmp_path):
+        rng = np.random.default_rng(5)
+        schema = Schema([
+            Column("sex", "categorical", ("m", "f")),
+            Column("zip", "categorical", tuple(f"z{i}" for i in range(300))),
+            Column("score", "numeric"),
+        ])
+        n = 500
+        data = Dataset(
+            schema,
+            {
+                "sex": rng.integers(0, 2, n),
+                "zip": np.r_[299, 0, rng.integers(0, 300, n - 2)],
+                "score": rng.normal(size=n),
+            },
+            rng.integers(0, 2, n),
+            protected=("sex", "zip"),
+        )
+        path = store_of(tmp_path, data, shard_rows=150)
+        manifest = read_manifest(path)
+        assert manifest["format_version"] == FORMAT_VERSION == 2
+        assert manifest["column_dtypes"] == ["uint8", "uint16", "float64"]
+        shard = path / "shard-00000"
+        assert [load_array(shard / f"c000{i}.npy").dtype for i in range(3)] == [
+            np.uint8, np.uint16, np.float64,
+        ]
+        with ShardedDataset.open(path) as store:
+            for name in schema.names:
+                assert store.column(name).dtype == data.column(name).dtype
+            assert rows_digest(store) == rows_digest(data)
+            assert rows_digest(store.to_dataset()) == rows_digest(data)
+            assert_counts_equal(data, store, ("sex", "zip"))
+            assert_counts_equal(data, store, ("zip",))
+            assert np.array_equal(store.joint_codes(("zip", "sex"))[0],
+                                  data.joint_codes(("zip", "sex"))[0])
+            assert identify_ibs(store, 0.3, k=3) == identify_ibs(data, 0.3, k=3)
+
+    def test_v1_rewritten_is_v2_and_counts_the_same(self, v1_store, tmp_path):
+        with ShardedDataset.open(v1_store) as legacy:
+            path = tmp_path / "v2"
+            write_store(path, iter_chunks(legacy, 20), 20)
+            with ShardedDataset.open(path) as store:
+                assert read_manifest(path)["column_dtypes"] == [
+                    "uint8", "uint8", "uint8", "float64",
+                ]
+                assert rows_digest(store) == V1_ROWS_DIGEST
+                assert_counts_equal(legacy, store, legacy.protected)
+
+        def first_shard_bytes(store_path):
+            files = read_manifest(store_path)["shards"][0]["files"]
+            return sum(meta["nbytes"] for meta in files.values())
+
+        assert first_shard_bytes(path) < first_shard_bytes(v1_store)
+
+    @pytest.mark.parametrize("version, code", [(1, 7), (1, -1), (2, 7)])
+    def test_out_of_range_code_names_the_shard_file(
+        self, v1_store, tmp_path, version, code
+    ):
+        path = v1_store
+        if version == 2:
+            path = store_of(tmp_path, ShardedDataset.open(v1_store), shard_rows=20)
+        overwrite_value(path / "shard-00001" / "c0000.npy", 3, code)
+        with ShardedDataset.open(path) as store:
+            match = rf"shard-00001/c0000\.npy has code {code} at row 3, outside \[0, 2\)"
+            with pytest.raises(StoreCorruptionError, match=match):
+                identify_ibs(store, 0.2, k=2)
+            with pytest.raises(StoreCorruptionError, match=match):
+                store.column("a")
+            # Counts that never read the column still run.
+            store.region_counts(("b", "c"))
+
+    def test_out_of_range_label_names_the_label_file(self, tmp_path):
+        path = store_of(tmp_path, small_dataset(), shard_rows=10)
+        overwrite_value(path / "shard-00002" / "y.npy", 1, 2)
+        with ShardedDataset.open(path) as store:
+            with pytest.raises(
+                StoreCorruptionError, match=r"shard-00002/y\.npy has label 2 at row 1"
+            ):
+                store.region_counts(("age",))
+            relabeled = store.with_labels(np.zeros(len(store), dtype=np.int8))
+            pos, neg, __ = relabeled.region_counts(("age",))
+            assert pos.sum() == 0 and neg.sum() == len(store)
 
 
 class TestWriter:
