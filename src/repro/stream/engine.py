@@ -4,8 +4,10 @@ The :class:`StreamAuditor` keeps one :class:`~repro.core.hierarchy.Hierarchy`
 current across micro-batches of row edits instead of rebuilding it per
 audit.  Applying a batch is O(deltas), independent of the total row count:
 
-1. every delta updates the :class:`~repro.stream.state.StreamState` row
-   store and accumulates into a leaf-granular count-delta array;
+1. the batch (a :class:`~repro.stream.deltas.DeltaBatch`) is written into
+   the :class:`~repro.stream.state.StreamState` row store by array writes,
+   and its leaf-granular count change is one ``bincount`` of the touched
+   rows' count slots after the batch minus one of their slots before it;
 2. one :meth:`~repro.core.hierarchy.Hierarchy.apply_count_delta` call
    folds the batch's delta into the hierarchy's count cube in place;
 3. the **dirty-region tracker** finds the cells whose score the batch can
@@ -54,9 +56,10 @@ from repro.errors import DeltaError, JournalError, StreamError
 from repro.obs import trace as obs
 from repro.stream.deltas import (
     Delta,
-    KIND_DELETE,
-    KIND_INSERT,
-    deltas_from_records,
+    DeltaBatch,
+    OP_DELETE,
+    OP_INSERT,
+    OP_RELABEL,
 )
 from repro.stream.journal import (
     DeltaLog,
@@ -65,6 +68,7 @@ from repro.stream.journal import (
     RECORD_REBASE,
     RECORD_ROWS,
     StreamConfig,
+    batch_deltas,
 )
 from repro.stream.monitor import AlarmEvent, DriftMonitor
 from repro.stream.state import StreamState
@@ -90,8 +94,8 @@ class StreamAuditor:
 
     # -- validation -------------------------------------------------------------
     def validate_batch(
-        self, deltas: Sequence[Delta]
-    ) -> tuple[list[Delta], list[tuple[Delta, DeltaError]]]:
+        self, deltas: DeltaBatch | Sequence[Delta]
+    ) -> tuple[DeltaBatch, list[tuple[Delta, DeltaError]]]:
         """Split a batch into appliable deltas and poison ones, mutating nothing.
 
         Delegates to :meth:`StreamState.validate_batch`, the stream's one
@@ -101,53 +105,85 @@ class StreamAuditor:
 
     # -- applying ---------------------------------------------------------------
     def apply_batch(
-        self, seq: int, batch_id: str, deltas: Sequence[Delta]
+        self, seq: int, batch_id: str, deltas: DeltaBatch | Sequence[Delta]
     ) -> list[AlarmEvent]:
         """Apply one journalled batch: state, counts, dirty re-score, alarms.
 
         ``deltas`` must already have passed :meth:`validate_batch` (the
-        journal only ever holds valid deltas); a failure here indicates a
-        corrupted journal and raises typed.
+        journal only ever holds valid deltas); a delta that does not apply
+        raises its typed :class:`~repro.errors.DeltaError` before anything
+        is written, which on replay means a corrupted journal.
         """
         if batch_id in self.applied_ids:
             raise JournalError(
                 f"batch id {batch_id!r} applied twice (seq {seq}); the "
                 "journal is corrupt"
             )
-        with obs.span("stream.apply_batch", id=batch_id, n=len(deltas)):
-            dpos = np.zeros(self.hierarchy.cards, dtype=np.int64)
-            dneg = np.zeros(self.hierarchy.cards, dtype=np.int64)
-            changed: set[tuple[int, ...]] = set()
-            for delta in deltas:
-                if delta.kind == KIND_INSERT:
-                    _row, cell = self.state.insert(delta)
-                    (dpos if delta.label == 1 else dneg)[cell] += 1
-                    changed.add(cell)
-                elif delta.kind == KIND_DELETE:
-                    cell, label = self.state.delete(delta)
-                    (dpos if label == 1 else dneg)[cell] -= 1
-                    changed.add(cell)
-                else:
-                    cell, old, new = self.state.relabel(delta)
-                    if old != new:
-                        dpos[cell] += new - old
-                        dneg[cell] += old - new
-                        changed.add(cell)
-            if changed:
+        batch = DeltaBatch.of(deltas)
+        with obs.span("stream.apply_batch", id=batch_id, n=len(batch)):
+            self.state.check_batch(batch)
+            changed, dpos, dneg = self._write(batch)
+            if changed.size:
                 self.hierarchy.apply_count_delta(Pattern(), dpos, dneg)
             observations = self._rescore(changed)
             events = self.monitor.observe(seq, observations)
             self.applied_ids.add(batch_id)
             self.watermark = seq
             self.n_batches += 1
-            obs.count("stream.deltas_applied", len(deltas))
+            obs.count("stream.deltas_applied", len(batch))
             obs.count("stream.regions_rescored", len(observations))
             return events
 
+    def _write(self, batch: DeltaBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Write a valid ``batch`` into the state.
+
+        Returns ``(changed, dpos, dneg)``: the flat leaf cells of every
+        insert and delete and of every relabel that changes its row's label,
+        and the leaf-shaped count change.  The per-delta loop compares a
+        relabel with the row's label at that point of the batch; a row's
+        relabels change it at some point iff one of them differs from the
+        row's label before the batch, so comparing with the stored label
+        marks the same cells.  The count change is exact because a row's
+        per-delta changes telescope to its slot after the batch minus its
+        slot before it.
+        """
+        state, cards = self.state, self.hierarchy.cards
+        n_cells = int(np.prod(cards))
+        n = state.next_row_id
+        ops, rows, labels = batch.ops, batch.rows, batch.labels
+        relabels = ops[ops != OP_INSERT] == OP_RELABEL
+        inserts = ops[ops != OP_DELETE] == OP_INSERT
+        new_rows = np.arange(n, n + len(batch.values))
+        old_rows = np.unique(rows[rows < n])
+        before = state.cell_codes(old_rows)
+
+        relabelled, new_labels = rows[relabels], labels[~inserts]
+        old = relabelled < n
+        stored = before[np.searchsorted(old_rows, relabelled[old])] // n_cells
+        flipped = relabelled[old][stored != new_labels[old]]
+        deleted = rows[~relabels]
+        state.insert(batch.values, labels[inserts])
+        state.relabel(relabelled, new_labels)
+        state.delete(deleted)
+
+        touched = np.concatenate([old_rows, new_rows])
+        after = state.cell_codes(touched)[state.is_alive(touched)]
+        counts = np.bincount(after, minlength=2 * n_cells) - np.bincount(
+            before, minlength=2 * n_cells
+        )
+        changed = state.cell_codes(np.concatenate([new_rows, deleted, flipped]))
+        return (
+            changed % n_cells,
+            counts[n_cells:].reshape(cards),
+            counts[:n_cells].reshape(cards),
+        )
+
     def _rescore(
-        self, changed: set[tuple[int, ...]]
+        self, changed: np.ndarray
     ) -> list[tuple[Pattern, RegionReport | None]]:
         """Re-score exactly the regions the changed leaf cells can affect.
+
+        ``changed`` holds flat (C-order) leaf cell codes, repeats allowed.
 
         The dirty cells (see the module docstring) come nodes bottom-up,
         cells in C order, so the observation sequence, and therefore the
@@ -158,11 +194,11 @@ class StreamAuditor:
         a negative ``tau_c`` raises in :func:`~repro.core.ibs.score_cells`.
         """
         observations: list[tuple[Pattern, RegionReport | None]] = []
-        if not changed:
+        if not changed.size:
             return observations
         hierarchy = self.hierarchy
         leaf = np.zeros(hierarchy.cards, dtype=bool)
-        leaf[tuple(zip(*changed))] = True
+        leaf.reshape(-1)[changed] = True
         # Each round reads the previous round's mask, so it frees one axis
         # at most; a level-d cell has only d axes to free, which caps its
         # budget at d as hamming_budget does.
@@ -319,9 +355,9 @@ class StreamAuditor:
                             f"batch at seq {record.seq} interleaved with an "
                             "incomplete rebase"
                         )
-                    deltas = deltas_from_records(record.payload["deltas"])
                     auditor.apply_batch(
-                        record.seq, str(record.payload["id"]), deltas
+                        record.seq, str(record.payload["id"]),
+                        batch_deltas(record.payload),
                     )
                 if rebase is not None and chunks_seen == int(rebase["n_chunks"]):
                     auditor._load_rebase(rebase, state)

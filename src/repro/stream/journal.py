@@ -12,9 +12,15 @@ Each journal record is one JSON line ``{"seq", "type", "payload", "prev",
 a hash chain that makes any bit flip, reorder, or splice detectable.  The
 first record of a generation starts the chain (``prev = ""``): generation
 0 opens with a ``genesis`` record carrying the immutable stream config
-(schema, protected attrs, thresholds); a compacted generation opens with a
-``rebase`` record (surviving state summary) followed by ``rows`` chunks.
-Batches of deltas land as ``batch`` records with a per-batch manifest.
+(schema, protected attrs, thresholds) and the journal format ``version``;
+a compacted generation opens with a ``rebase`` record (surviving state
+summary) followed by ``rows`` chunks.  Each batch of deltas lands as one
+``batch`` record ``{"columns", "id", "manifest"}``: the batch's columnar
+form (:meth:`~repro.stream.deltas.DeltaBatch.to_columns`), canonical-encoded
+once and hashed into the per-batch manifest.  Version 2 writes that form;
+a version-1 journal's ``batch`` records hold a ``deltas`` list of compact
+per-delta records instead, and :func:`batch_deltas` reads both, so old
+journals replay and take new batches.
 
 Durability contract: every append is flushed and ``fsync``\\ ed before the
 caller proceeds, so a batch either is fully on disk or its torn tail is
@@ -31,8 +37,9 @@ Recovery modes:
   replay`` and the corruption tests);
 * :meth:`DeltaLog.recover` — **crash recovery**: tolerates exactly one
   torn *final* record of the *final* segment (the kill-mid-append window)
-  by truncating it, explicitly reported in the returned
-  :class:`RecoveryReport`; corruption anywhere else still raises.  A
+  by truncating it, and likewise a torn final line of ``deadletter.jsonl``,
+  each explicitly reported in the returned :class:`RecoveryReport`;
+  corruption anywhere else still raises.  A
   recovered journal holding zero committed batches raises unless
   ``allow_empty`` (only ingestion, which is about to add batches, opts in)
   — readers never see silent partial state.
@@ -49,10 +56,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.data.io import atomic_write_json, canonical_json, fsync_dir
 from repro.data.schema import Schema
 from repro.data.schema_io import schema_from_dict, schema_to_dict
 from repro.errors import JournalError, StreamError
+from repro.stream.deltas import (
+    Delta,
+    DeltaBatch,
+    OP_DELETE,
+    OP_INSERT,
+    deltas_from_records,
+)
 
 RECORD_GENESIS = "genesis"
 RECORD_BATCH = "batch"
@@ -61,7 +77,7 @@ RECORD_ROWS = "rows"
 
 CURRENT_FILE = "CURRENT"
 DEADLETTER_FILE = "deadletter.jsonl"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Default byte threshold after which the active segment is rotated.
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
@@ -78,8 +94,24 @@ def _segment_name(generation: int, first_seq: int) -> str:
 
 
 def _record_sha(prev: str, seq: int, rtype: str, payload: object) -> str:
-    body = canonical_json({"payload": payload, "seq": seq, "type": rtype})
+    return _encoded_sha(prev, seq, rtype, canonical_json(payload))
+
+
+def _encoded_sha(prev: str, seq: int, rtype: str, payload: str) -> str:
+    """:func:`_record_sha` of an already canonical-encoded ``payload``.
+
+    The body is spliced by hand in ``canonical_json``'s key order and
+    separators, so it is byte-equal to encoding the record dict.
+    """
+    body = f'{{"payload":{payload},"seq":{seq},"type":{json.dumps(rtype)}}}'
     return hashlib.sha256((prev + body).encode("utf-8")).hexdigest()
+
+
+def batch_deltas(payload: dict) -> DeltaBatch:
+    """The deltas of a ``batch`` record's payload, in either journal format."""
+    if "columns" in payload:
+        return DeltaBatch.from_columns(payload["columns"])
+    return DeltaBatch.of(deltas_from_records(payload["deltas"]))
 
 
 @dataclass(frozen=True)
@@ -245,6 +277,26 @@ def _checked_records(
             offset += len(line)
 
 
+def _clip_torn_tail(path: Path) -> int:
+    """Truncate a final line of ``path`` that has no trailing newline.
+
+    That partial line is what a process killed mid-append leaves behind;
+    a bad line with lines after it is corruption and is left for the
+    reader to raise on.  Returns the bytes removed.
+    """
+    if not path.exists():
+        return 0
+    with open(path, "r+b") as fh:
+        data = fh.read()
+        if not data or data.endswith(b"\n"):
+            return 0
+        keep = data.rfind(b"\n") + 1
+        fh.truncate(keep)
+        fh.flush()
+        os.fsync(fh.fileno())
+    return len(data) - keep
+
+
 @dataclass(frozen=True)
 class RecoveryReport:
     """What :meth:`DeltaLog.recover` had to do to reach a consistent state."""
@@ -254,6 +306,7 @@ class RecoveryReport:
     orphans_removed: tuple[str, ...] = ()
     n_batches: int = 0
     watermark: int = 0
+    dead_letter_truncated_bytes: int = 0
 
     def describe(self) -> str:
         """One-line human summary for CLI output."""
@@ -262,6 +315,11 @@ class RecoveryReport:
             parts.append(
                 f"truncated {self.truncated_bytes} torn bytes from "
                 f"{self.truncated_segment}"
+            )
+        if self.dead_letter_truncated_bytes:
+            parts.append(
+                f"truncated {self.dead_letter_truncated_bytes} torn bytes "
+                f"from {DEADLETTER_FILE}"
             )
         if self.orphans_removed:
             parts.append(
@@ -418,6 +476,9 @@ class DeltaLog:
             orphans_removed=tuple(removed),
             n_batches=scan.n_batches,
             watermark=scan.watermark,
+            dead_letter_truncated_bytes=(
+                0 if strict else _clip_torn_tail(log.deadletter_path)
+            ),
         )
         return log, report
 
@@ -492,16 +553,21 @@ class DeltaLog:
         self._close_handle()
 
     def _append_record(self, rtype: str, payload: dict) -> int:
+        return self._append_encoded(rtype, canonical_json(payload))
+
+    def _append_encoded(self, rtype: str, payload: str) -> int:
+        """Append a record whose payload is already canonical-encoded.
+
+        The envelope is spliced around it in ``canonical_json``'s key order
+        and separators (byte-equal to encoding the envelope dict, which the
+        reader's sha re-check relies on), so a payload is encoded once.
+        """
         seq = self._next_seq
-        sha = _record_sha(self._last_sha, seq, rtype, payload)
-        envelope = {
-            "payload": payload,
-            "prev": self._last_sha,
-            "seq": seq,
-            "sha": sha,
-            "type": rtype,
-        }
-        line = canonical_json(envelope) + "\n"
+        sha = _encoded_sha(self._last_sha, seq, rtype, payload)
+        line = (
+            f'{{"payload":{payload},"prev":{json.dumps(self._last_sha)},'
+            f'"seq":{seq},"sha":"{sha}","type":{json.dumps(rtype)}}}\n'
+        )
         if self._handle is None:
             self._handle = open(self._segments[-1], "ab")
         if (
@@ -516,33 +582,40 @@ class DeltaLog:
         self._next_seq = seq + 1
         return seq
 
-    def append_batch(self, batch_id: str, deltas: Sequence[list]) -> int:
-        """Journal one micro-batch (compact delta records) durably.
+    def append_batch(self, batch_id: str, deltas: DeltaBatch | Sequence[Delta]) -> int:
+        """Journal one micro-batch as one columnar record, durably.
 
-        Builds the per-batch manifest (delta counts, content sha, wall
-        timestamp — the timestamp is integrity metadata inside the chain,
-        never part of replayed state), appends, fsyncs, and returns the
-        batch's seq.  The watermark only advances here: readers never see
-        a batch that is not fully on disk.
+        Builds the per-batch manifest (delta counts, content sha of the
+        encoded columns, wall timestamp — the timestamp is integrity
+        metadata inside the chain, never part of replayed state), appends,
+        fsyncs, and returns the batch's seq.  The columns are encoded once:
+        that string is hashed for the manifest and spliced into the payload.
+        The watermark only advances here: readers never see a batch that is
+        not fully on disk.
         """
         if batch_id in self.applied_ids:
             raise JournalError(
                 f"batch id {batch_id!r} is already journalled; ingest-level "
                 "dedup should have skipped it"
             )
-        deltas = [list(d) for d in deltas]
-        kinds = [d[0] for d in deltas]
+        batch = DeltaBatch.of(deltas)
+        columns = canonical_json(
+            batch.to_columns([col.is_categorical for col in self.config.schema])
+        )
+        n_insert = int(np.count_nonzero(batch.ops == OP_INSERT))
+        n_delete = int(np.count_nonzero(batch.ops == OP_DELETE))
         manifest = {
-            "n_deltas": len(deltas),
-            "n_insert": kinds.count("i"),
-            "n_delete": kinds.count("d"),
-            "n_relabel": kinds.count("r"),
-            "sha": hashlib.sha256(canonical_json(deltas).encode()).hexdigest(),
+            "n_deltas": len(batch),
+            "n_insert": n_insert,
+            "n_delete": n_delete,
+            "n_relabel": len(batch) - n_insert - n_delete,
+            "sha": hashlib.sha256(columns.encode()).hexdigest(),
             "ts": time.time(),
         }
-        seq = self._append_record(
+        seq = self._append_encoded(
             RECORD_BATCH,
-            {"id": batch_id, "deltas": deltas, "manifest": manifest},
+            f'{{"columns":{columns},"id":{json.dumps(batch_id)},'
+            f'"manifest":{canonical_json(manifest)}}}',
         )
         self.applied_ids.add(batch_id)
         self.watermark = seq

@@ -4,15 +4,18 @@ The :class:`StreamService` is the write path of the streaming auditor.
 Batches move through it in a strict order chosen so a crash at any point
 leaves a recoverable journal:
 
-1. **enqueue** — :meth:`submit` parks the batch in a bounded FIFO; a full
-   queue raises :class:`~repro.errors.BackpressureError` so producers
-   back off instead of the service buffering unboundedly;
+1. **enqueue** — :meth:`submit` converts the batch to a
+   :class:`~repro.stream.deltas.DeltaBatch` (every producer reaches the
+   service here) and parks it in a bounded FIFO; a full queue raises
+   :class:`~repro.errors.BackpressureError` so producers back off instead
+   of the service buffering unboundedly;
 2. **validate** — the whole batch is checked against the current state
    (sequential overlay semantics) *before* anything is journalled; poison
-   deltas are quarantined to the dead-letter segment with their typed
-   error and never reach the journal;
+   deltas are quarantined to the dead-letter segment, as their producer
+   sent them, with their typed error and never reach the journal;
 3. **journal** — the surviving deltas are fsynced into the
-   :class:`~repro.stream.journal.DeltaLog` under the sha chain;
+   :class:`~repro.stream.journal.DeltaLog` under the sha chain, as one
+   columnar record;
 4. **apply** — only after the append is durable does the in-memory
    auditor fold the batch and advance the **watermark** (the seq of the
    last fully-applied batch).  Readers trust state only up to the
@@ -35,7 +38,12 @@ from typing import Sequence
 from repro.data.io import chaos_point
 from repro.errors import BackpressureError, DeltaError, StreamError
 from repro.obs import trace as obs
-from repro.stream.deltas import Delta, delta_from_record, deltas_from_records
+from repro.stream.deltas import (
+    Delta,
+    DeltaBatch,
+    delta_from_record,
+    deltas_from_records,
+)
 from repro.stream.engine import StreamAuditor
 from repro.stream.journal import DeltaLog, StreamConfig
 from repro.stream.monitor import AlarmEvent
@@ -51,7 +59,7 @@ class StreamService:
     def __init__(self, log: DeltaLog, auditor: StreamAuditor):
         self.log = log
         self.auditor = auditor
-        self._queue: deque[tuple[str, list[Delta]]] = deque()
+        self._queue: deque[tuple[str, DeltaBatch]] = deque()
         self._dead_seq = len(self.log.dead_letters())
         self._n_outstanding = len(self.log.outstanding_dead_letters())
 
@@ -83,7 +91,7 @@ class StreamService:
         self.log.close()
 
     # -- write path --------------------------------------------------------------
-    def submit(self, batch_id: str, deltas: Sequence[Delta]) -> bool:
+    def submit(self, batch_id: str, deltas: DeltaBatch | Sequence[Delta]) -> bool:
         """Queue one batch for ingestion; ``False`` if it is a known duplicate.
 
         Duplicate ids (already journalled, or already queued) are skipped
@@ -103,7 +111,7 @@ class StreamService:
                 f"ingestion queue is full ({self.log.config.queue_limit} "
                 f"batches); retry batch {batch_id!r} after a drain"
             )
-        self._queue.append((batch_id, list(deltas)))
+        self._queue.append((batch_id, DeltaBatch.of(deltas)))
         obs.gauge_set("stream.queue_depth", len(self._queue))
         return True
 
@@ -126,17 +134,15 @@ class StreamService:
                 events.extend(self.drain())
         return events
 
-    def _ingest_one(self, batch_id: str, deltas: list[Delta]) -> list[AlarmEvent]:
-        with obs.span("stream.batch", id=batch_id, n=len(deltas)):
-            valid, poison = self.auditor.validate_batch(deltas)
+    def _ingest_one(self, batch_id: str, batch: DeltaBatch) -> list[AlarmEvent]:
+        with obs.span("stream.batch", id=batch_id, n=len(batch)):
+            valid, poison = self.auditor.validate_batch(batch)
             for delta, error in poison:
                 self._quarantine(batch_id, delta, error)
             if not valid:
                 obs.count("stream.empty_batches")
                 return []
-            seq = self.log.append_batch(
-                batch_id, [d.to_record() for d in valid]
-            )
+            seq = self.log.append_batch(batch_id, valid)
             # Journalled, not applied: the watermark still points before
             # this batch, so a crash here must replay it on restart.
             chaos_point("stream.append", batch_id)

@@ -3,22 +3,23 @@
 A :class:`~repro.data.dataset.Dataset` is immutable-by-convention and
 copies on every edit, which would make per-delta cost grow with the total
 row count.  :class:`StreamState` instead keeps amortised-growth column
-arrays plus an ``alive`` mask: inserts append in O(1) amortised, deletes
-and relabels touch one slot, and the stable row id of a row is simply its
-insertion index — so a delete arriving batches after its insert still
-addresses the right row without any id map.
+arrays plus an ``alive`` mask: a batch's inserts append as slices, its
+deletes and relabels are fancy-index writes, and the stable row id of a
+row is simply its insertion index — so a delete arriving batches after its
+insert still addresses the right row without any id map.
 
-This is the one place a delta is validated and applied.  Every mutation
-checks against the schema first and raises a typed
+This is the one place a delta is validated.  :meth:`StreamState.validate_batch`
+checks a whole :class:`~repro.stream.deltas.DeltaBatch` with array tests
+and never mutates, letting the service check a batch *before* journalling
+it.  When any delta fails them, the per-delta check runs over the whole
+batch instead, raising or reporting a typed
 :class:`~repro.errors.DeltaError` naming the column and row, so the service
-can quarantine poison deltas without wedging; :meth:`StreamState.validate_batch`
-never mutates, letting the service check a whole batch *before*
-journalling it.
+can quarantine poison deltas without wedging.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,12 +28,15 @@ from repro.data.schema import Schema
 from repro.errors import DeltaError
 from repro.stream.deltas import (
     Delta,
-    DeleteDelta,
+    DeltaBatch,
     InsertDelta,
     KIND_DELETE,
     KIND_INSERT,
     KIND_RELABEL,
-    RelabelDelta,
+    OP_DELETE,
+    OP_INSERT,
+    plain_numbers,
+    value_matrix,
 )
 from repro.stream.journal import ROWS_PER_CHUNK
 
@@ -56,6 +60,7 @@ class StreamState:
             (col.name, col.cardinality if col.is_categorical else None)
             for col in schema
         )
+        self._cards = schema.cardinalities(self.protected)
         self._cap = _INITIAL_CAPACITY
         self._cols: dict[str, np.ndarray] = {}
         for col in schema:
@@ -91,32 +96,101 @@ class StreamState:
         self._check(delta, self._n, {})
 
     def validate_batch(
-        self, deltas: Sequence[Delta]
-    ) -> tuple[list[Delta], list[tuple[Delta, DeltaError]]]:
+        self, deltas: DeltaBatch | Sequence[Delta]
+    ) -> tuple[DeltaBatch, list[tuple[Delta, DeltaError]]]:
         """Split a batch into appliable deltas and poison ones, mutating nothing.
 
-        Validation simulates the batch's sequential semantics with an
-        overlay (an insert earlier in the batch makes a later delete of
-        that row valid; a poisoned insert does not claim a row id), so the
-        surviving prefix order applies cleanly.
+        Validation follows the batch's sequential semantics (an insert
+        earlier in the batch makes a later delete of that row valid; a
+        poisoned insert does not claim a row id), so the surviving deltas
+        apply cleanly in order.  A batch that passes the array checks is
+        returned as it is; otherwise the per-delta check splits it.
         """
-        next_id = self._n
-        overlay: dict[int, bool] = {}
+        batch = DeltaBatch.of(deltas)
+        if self._applies(batch):
+            return batch, []
         valid: list[Delta] = []
         poison: list[tuple[Delta, DeltaError]] = []
+        for delta, error in self._checked(batch.deltas()):
+            if error is None:
+                valid.append(delta)
+            else:
+                poison.append((delta, error))
+        return DeltaBatch.of(valid), poison
+
+    def check_batch(self, batch: DeltaBatch) -> None:
+        """Raise the first delta's :class:`~repro.errors.DeltaError` unless
+        every delta of ``batch`` applies in order."""
+        if self._applies(batch):
+            return
+        for _delta, error in self._checked(batch.deltas()):
+            if error is not None:
+                raise error
+
+    def _applies(self, batch: DeltaBatch) -> bool:
+        """Whether every delta of ``batch`` applies in order, by array tests.
+
+        True only where the per-delta :meth:`_check` accepts every delta;
+        a False sends the batch to that check, which decides.
+        """
+        if batch.scalar or not self._rows_hold(batch.values, batch.labels):
+            return False
+        ops, rows = batch.ops, batch.rows
+        targets = ops != OP_INSERT
+        # At a delete or relabel, the inclusive count of inserts is the
+        # count of inserts before it: ids [0, n + that) exist there.
+        known = self._n + np.cumsum(~targets)[targets]
+        if not ((rows >= 0) & (rows < known)).all():
+            return False
+        if not self._alive[rows[rows < self._n]].all():
+            return False
+        # Nothing may follow a delete of the same row: in (row, position)
+        # order a delete must end its row's run.
+        order = np.lexsort((np.arange(rows.size), rows))
+        rows, ops = rows[order], ops[targets][order]
+        return not ((ops[:-1] == OP_DELETE) & (rows[1:] == rows[:-1])).any()
+
+    def _rows_hold(self, values: np.ndarray, labels: np.ndarray) -> bool:
+        """Whether ``values`` (one row per insert) and ``labels`` are all in
+        the schema's domains: codes in range and integral, numeric values
+        finite, labels binary."""
+        if not ((labels == 0) | (labels == 1)).all():
+            return False
+        if not len(values):
+            return True
+        if values.shape[1] != len(self._specs):
+            return False
+        for column, (_name, cardinality) in zip(values.T, self._specs):
+            if cardinality is None:
+                # ±max is finite, but an int just past it rounds to it:
+                # the per-delta check tells those apart.
+                ok = np.abs(column) < _FLOAT_MAX
+            else:
+                ok = (column >= 0) & (column < cardinality) & (column == np.floor(column))
+            if not ok.all():
+                return False
+        return True
+
+    def _checked(
+        self, deltas: Iterable[Delta]
+    ) -> Iterator[tuple[Delta, DeltaError | None]]:
+        """Each delta with its :class:`~repro.errors.DeltaError`, or None,
+        checked in order against the batch so far (the overlay tracks rows
+        inserted or deleted earlier in the batch)."""
+        next_id = self._n
+        overlay: dict[int, bool] = {}
         for delta in deltas:
             try:
                 self._check(delta, next_id, overlay)
             except DeltaError as exc:
-                poison.append((delta, exc))
+                yield delta, exc
                 continue
-            valid.append(delta)
+            yield delta, None
             if delta.kind == KIND_INSERT:
                 overlay[next_id] = True
                 next_id += 1
             elif delta.kind == KIND_DELETE:
                 overlay[delta.row] = False
-        return valid, poison
 
     def _check(self, delta: Delta, next_id: int, overlay: dict[int, bool]) -> None:
         """Validate ``delta`` as if ids ``[0, next_id)`` exist and the rows
@@ -165,8 +239,13 @@ class StreamState:
                 )
 
     # -- mutation -------------------------------------------------------------
-    def _grow(self) -> None:
-        new_cap = self._cap * 2
+    def _reserve(self, n_rows: int) -> None:
+        """Grow the columns, doubling, until ``n_rows`` rows fit."""
+        new_cap = self._cap
+        while new_cap < n_rows:
+            new_cap *= 2
+        if new_cap == self._cap:
+            return
         for name, arr in self._cols.items():
             grown = np.zeros(new_cap, dtype=arr.dtype)
             grown[: self._n] = arr[: self._n]
@@ -178,38 +257,41 @@ class StreamState:
             setattr(self, attr, grown)
         self._cap = new_cap
 
-    def _write(self, row: int, delta: InsertDelta) -> None:
-        for (name, _cardinality), value in zip(self._specs, delta.values):
-            self._cols[name][row] = value
-        self._y[row] = delta.label
-        self._alive[row] = True
+    def insert(self, values: np.ndarray, labels: np.ndarray) -> None:
+        """Append validated rows: ``values`` holds one row per insert."""
+        start, stop = self._n, self._n + len(labels)
+        self._reserve(stop)
+        for (name, _cardinality), column in zip(self._specs, values.T):
+            self._cols[name][start:stop] = column
+        self._y[start:stop] = labels
+        self._alive[start:stop] = True
+        self._n = stop
 
-    def insert(self, delta: InsertDelta) -> tuple[int, tuple[int, ...]]:
-        """Append a validated insert; returns ``(row_id, protected codes)``."""
-        self._validate_insert(delta, self._n)
-        if self._n == self._cap:
-            self._grow()
-        row = self._n
-        self._write(row, delta)
-        self._n += 1
-        return row, self.protected_codes(row)
+    def relabel(self, rows: np.ndarray, labels: np.ndarray) -> None:
+        """Set validated relabels; the last label of each row wins."""
+        rows, last = _last_per_row(rows)
+        self._y[rows] = labels[last]
 
-    def delete(self, delta: DeleteDelta) -> tuple[tuple[int, ...], int]:
-        """Tombstone a validated delete; returns ``(protected codes, label)``."""
-        self.validate(delta)
-        self._alive[delta.row] = False
-        return self.protected_codes(delta.row), int(self._y[delta.row])
+    def delete(self, rows: np.ndarray) -> None:
+        """Tombstone validated deletes."""
+        self._alive[rows] = False
 
-    def relabel(self, delta: RelabelDelta) -> tuple[tuple[int, ...], int, int]:
-        """Apply a validated relabel; returns ``(codes, old_label, new_label)``."""
-        self.validate(delta)
-        old = int(self._y[delta.row])
-        self._y[delta.row] = delta.label
-        return self.protected_codes(delta.row), old, int(delta.label)
+    def cell_codes(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's count slot: ``label·∏cᵢ + leaf cell`` (``int64``).
 
-    def protected_codes(self, row: int) -> tuple[int, ...]:
-        """The row's cell in the protected-attribute space (leaf coords)."""
-        return tuple(int(self._cols[a][row]) for a in self.protected)
+        The leaf cell is the mixed-radix code of the row's protected
+        values, so one ``bincount`` of the codes gives the negative counts
+        of every leaf cell, then the positive ones.
+        """
+        code = self._y[rows].astype(np.int64)
+        for attr, card in zip(self.protected, self._cards):
+            code *= card
+            code += self._cols[attr][rows]
+        return code
+
+    def is_alive(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each of ``rows`` is alive."""
+        return self._alive[rows]
 
     # -- persistence ----------------------------------------------------------
     def export_rows(self) -> Iterator[list[list]]:
@@ -243,20 +325,66 @@ class StreamState:
         chunk at a time.
         """
         state = cls(schema, protected)
-        while state._cap < max(next_row_id, 1):
-            state._grow()
+        state._reserve(next_row_id)
         state._n = next_row_id
         return state
 
     def load_rows(self, rows: Sequence[Sequence]) -> None:
-        """Write one rebase chunk of ``[row_id, values, label]`` live rows."""
-        for row_id, values, label in rows:
-            row_id = int(row_id)
-            if not 0 <= row_id < self._n:
-                raise DeltaError(f"rebase row id {row_id} outside [0, {self._n})")
-            delta = InsertDelta(values=tuple(values), label=int(label))
-            self._validate_insert(delta, row_id)
-            self._write(row_id, delta)
+        """Write one rebase chunk of ``[row_id, values, label]`` live rows.
+
+        The chunk is checked with the batch validator's array tests and
+        written with array writes; a chunk that fails them is checked row
+        by row, which raises the first bad row's message.
+        """
+        chunk = self._chunk_arrays(rows)
+        if chunk is None:
+            ids, values, labels = [], [], []
+            for row_id, row_values, label in rows:
+                row_id = int(row_id)
+                if not 0 <= row_id < self._n:
+                    raise DeltaError(
+                        f"rebase row id {row_id} outside [0, {self._n})"
+                    )
+                delta = InsertDelta(values=tuple(row_values), label=int(label))
+                self._validate_insert(delta, row_id)
+                ids.append(row_id)
+                values.append(delta.values)
+                labels.append(delta.label)
+            chunk = (
+                np.array(ids, dtype=np.int64),
+                value_matrix(values),
+                np.array(labels, dtype=np.int64),
+            )
+        ids, values, labels = chunk
+        ids, last = _last_per_row(ids)
+        for (name, _cardinality), column in zip(self._specs, values.T):
+            self._cols[name][ids] = column[last]
+        self._y[ids] = labels[last]
+        self._alive[ids] = True
+
+    def _chunk_arrays(
+        self, rows: Sequence[Sequence]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """A rebase chunk as ``(ids, values, labels)`` arrays, or None
+        unless every row is ``[int, [int | float, ...], int]`` with one
+        width and passes the array checks."""
+        try:
+            if rows and set(map(len, rows)) != {3}:
+                return None
+            ids, values, labels = zip(*rows) if rows else ((), (), ())
+            if not plain_numbers((ids, labels), values):
+                return None
+            chunk = (
+                np.array(ids, dtype=np.int64),
+                value_matrix(values),
+                np.array(labels, dtype=np.int64),
+            )
+        except (OverflowError, TypeError, ValueError):
+            return None
+        ids = chunk[0]
+        if not (((ids >= 0) & (ids < self._n)).all() and self._rows_hold(*chunk[1:])):
+            return None
+        return chunk
 
     def alive_row_ids(self) -> np.ndarray:
         """Stable ids of the alive rows, in id order.
@@ -278,3 +406,17 @@ class StreamState:
         mask = self._alive[: self._n]
         cols = {name: arr[: self._n][mask] for name, arr in self._cols.items()}
         return Dataset(self.schema, cols, self._y[: self._n][mask], self.protected)
+
+
+def _last_per_row(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+    """``(distinct rows, index of each one's last occurrence in rows)``.
+
+    A fancy-index write with repeated indices leaves which value wins
+    undefined; writing each row's last value keeps sequential semantics.
+    Rows already strictly increasing (a rebase chunk) are kept as they are.
+    """
+    if (rows[1:] > rows[:-1]).all():
+        return rows, slice(None)
+    distinct, first_from_end = np.unique(rows[::-1], return_index=True)
+    return distinct, len(rows) - 1 - first_from_end
+

@@ -24,7 +24,7 @@ from repro.serve.remedy import (
     RemedyPolicy,
 )
 from repro.stream.deltas import InsertDelta, RelabelDelta
-from repro.stream.journal import StreamConfig
+from repro.stream.journal import StreamConfig, batch_deltas
 from repro.stream.monitor import ALARM_RAISE, AlarmEvent
 from repro.stream.service import StreamService
 
@@ -72,12 +72,12 @@ class TestRemedyOnDrift:
         assert controller.applied == 1
         # The remedy is one ordinary batch in the journal, all relabels.
         batches = {
-            r.payload["id"]: r.payload["deltas"]
+            r.payload["id"]: batch_deltas(r.payload).deltas()
             for r in service.log.records()
             if r.type == "batch"
         }
         assert set(batches) == {"b0", "remedy-w1"}
-        assert all(tag == "r" for tag, *__ in batches["remedy-w1"])
+        assert all(d.kind == "relabel" for d in batches["remedy-w1"])
         assert len(batches["remedy-w1"]) == outcome["n_deltas"]
         # ... and recovery replays it byte-identically: same digest.
         live_digest = service.auditor.digest()

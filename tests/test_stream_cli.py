@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.cli import EXIT_OK, EXIT_REPRO_ERROR, main
 from repro.data.schema import Column, Schema
 from repro.data.schema_io import schema_to_dict
+from repro.stream.deltas import DeleteDelta, InsertDelta, RelabelDelta
+from repro.stream.engine import StreamAuditor
+from repro.stream.journal import DeltaLog
+from repro.stream.service import StreamService
 
 
 @pytest.fixture
@@ -168,3 +174,45 @@ class TestInspection:
         assert "compacted generation 0 -> 1" in capsys.readouterr().out
         assert main(["stream", "replay", str(ingested)]) == EXIT_OK
         assert capsys.readouterr().out == before
+
+
+#: A stream written by the format-1 (per-delta record) journal: generation
+#: 1 opens with a compaction rebase and its one rows chunk, then holds two
+#: per-delta batch records (one batch quarantined a delete of a dead row;
+#: the other inserts, relabels twice and deletes one row), and
+#: deadletter.jsonl holds the quarantines from before and after the rebase.
+V1_STREAM = Path(__file__).parent / "fixtures" / "stream_v1"
+#: Its digest, as the format-1 code replayed it.
+V1_DIGEST = "9d91384564abd1fba720bce021ade47e8a4fd03806a9b454977924a194b8329c"
+
+
+class TestFormat1Journal:
+    def test_replays_to_its_digest_and_takes_columnar_batches(
+        self, tmp_path, capsys
+    ):
+        directory = tmp_path / "stream_v1"
+        shutil.copytree(V1_STREAM, directory)
+        batches = [r for r in DeltaLog.open(directory).records() if r.type == "batch"]
+        assert [sorted(r.payload) for r in batches] == [["deltas", "id", "manifest"]] * 2
+        assert main(["stream", "status", str(directory)]) == EXIT_OK
+        assert f"digest {V1_DIGEST}\n" in capsys.readouterr().out
+
+        service, _report = StreamService.open(directory)
+        assert service.auditor.digest() == V1_DIGEST
+        service.ingest([("b4", [
+            InsertDelta(values=(1, 0, 0.5), label=1), RelabelDelta(row=2, label=0),
+            DeleteDelta(row=4), DeleteDelta(row=1),  # row 1 is dead: quarantined
+        ])])
+        live = service.auditor.digest()
+        assert live != V1_DIGEST
+        service.close()
+
+        log = DeltaLog.open(directory)
+        last = [r for r in log.records() if r.type == "batch"][-1]
+        assert sorted(last.payload) == ["columns", "id", "manifest"]
+        assert last.payload["columns"]["ops"] == "ird"
+        assert StreamAuditor.from_journal(log).digest() == live
+        fixture_letters = (V1_STREAM / "deadletter.jsonl").read_bytes()
+        letters = (directory / "deadletter.jsonl").read_bytes()
+        assert letters.startswith(fixture_letters)
+        assert letters[len(fixture_letters):].count(b"\n") == 1

@@ -9,15 +9,10 @@ import pytest
 from repro.core import ibs
 from repro.core.ibs import identify_ibs, ibs_patterns, report_sort_key
 from repro.data.schema import Column, Schema
-from repro.errors import JournalError, StreamError
-from repro.stream.deltas import (
-    DeleteDelta,
-    InsertDelta,
-    RelabelDelta,
-    deltas_from_records,
-)
+from repro.errors import DeltaError, JournalError, StreamError
+from repro.stream.deltas import DeleteDelta, InsertDelta, RelabelDelta
 from repro.stream.engine import StreamAuditor
-from repro.stream.journal import DeltaLog, StreamConfig
+from repro.stream.journal import DeltaLog, StreamConfig, batch_deltas
 
 
 @pytest.fixture
@@ -211,7 +206,7 @@ class TestReplay:
         live = StreamAuditor(config)
         batches = [skewed_batch(), [DeleteDelta(row=2), insert(1, 2, 0)]]
         for i, deltas in enumerate(batches):
-            seq = log.append_batch(f"b{i}", [d.to_record() for d in deltas])
+            seq = log.append_batch(f"b{i}", deltas)
             live.apply_batch(seq, f"b{i}", deltas)
         log.close()
         replayed = StreamAuditor.from_journal(DeltaLog.open(tmp_path / "s"))
@@ -224,7 +219,7 @@ class TestReplay:
         seqs = []
         for i in range(3):
             deltas = [insert(i % 2, i % 3, i % 2)]
-            seq = log.append_batch(f"b{i}", [d.to_record() for d in deltas])
+            seq = log.append_batch(f"b{i}", deltas)
             seqs.append(seq)
             if i < 2:
                 prefix.apply_batch(seq, f"b{i}", deltas)
@@ -239,7 +234,7 @@ class TestReplay:
         log = DeltaLog.create(tmp_path / "s", config)
         live = StreamAuditor(config)
         deltas = skewed_batch()
-        seq = log.append_batch("b0", [d.to_record() for d in deltas])
+        seq = log.append_batch("b0", deltas)
         live.apply_batch(seq, "b0", deltas)
         log.compact(
             live.export_rows(), live.state.next_row_id, live.state.n_alive,
@@ -262,7 +257,7 @@ class TestReplay:
         log = DeltaLog.create(tmp_path / "s", config)
         live = StreamAuditor(config)
         deltas = skewed_batch() + [DeleteDelta(row=2)]
-        seq = log.append_batch("b0", [d.to_record() for d in deltas])
+        seq = log.append_batch("b0", deltas)
         live.apply_batch(seq, "b0", deltas)
         log.compact(
             live.export_rows(), live.state.next_row_id, live.state.n_alive,
@@ -284,7 +279,60 @@ class TestReplay:
     def test_journal_records_round_trip_deltas(self, config, tmp_path):
         log = DeltaLog.create(tmp_path / "s", config)
         deltas = [insert(0, 1, 1), DeleteDelta(row=0)]
-        log.append_batch("b0", [d.to_record() for d in deltas])
+        log.append_batch("b0", deltas)
         (batch_record,) = [r for r in log.records() if r.type == "batch"]
-        assert deltas_from_records(batch_record.payload["deltas"]) == deltas
+        assert list(batch_deltas(batch_record.payload).deltas()) == deltas
         log.close()
+
+
+class TestArrayApply:
+    def test_insert_relabel_relabel_delete_of_one_row_in_one_batch(self, config):
+        auditor = StreamAuditor(config)
+        auditor.apply_batch(1, "b0", skewed_batch())
+        seen: list = []
+        real_observe = auditor.monitor.observe
+
+        def observe(seq, observations):
+            seen.extend(pattern for pattern, _report in observations)
+            return real_observe(seq, observations)
+
+        auditor.monitor.observe = observe
+        row = auditor.state.next_row_id
+        auditor.apply_batch(2, "b1", [
+            InsertDelta(values=(1, 2, 0.5), label=0),
+            RelabelDelta(row=row, label=1),
+            RelabelDelta(row=row, label=0),
+            DeleteDelta(row=row),
+        ])
+        assert auditor.state.next_row_id == row + 1
+        assert auditor.state.n_alive == row
+        # The row's counts net to zero, but its cell is still re-scored.
+        leaf = {(("a", 1), ("b", 2))}
+        assert leaf <= {pattern.items for pattern in seen}
+        assert_matches_oracle(auditor)
+
+    def test_repeated_relabels_leave_the_last_label(self, config):
+        auditor = StreamAuditor(config)
+        auditor.apply_batch(1, "b0", skewed_batch())
+        auditor.apply_batch(2, "b1", [
+            RelabelDelta(row=7, label=1), RelabelDelta(row=9, label=0),
+            RelabelDelta(row=7, label=0), RelabelDelta(row=9, label=1),
+            RelabelDelta(row=7, label=1),
+        ])
+        y = auditor.state.materialize().y
+        assert (int(y[7]), int(y[9])) == (1, 1)
+        assert_matches_oracle(auditor)
+
+    def test_an_invalid_batch_raises_its_first_error_and_writes_nothing(
+        self, config
+    ):
+        auditor = StreamAuditor(config)
+        auditor.apply_batch(1, "b0", skewed_batch())
+        digest = auditor.digest()
+        with pytest.raises(DeltaError, match="^relabel targets dead row 2 "):
+            auditor.apply_batch(2, "b1", [
+                insert(0, 1, 1), DeleteDelta(row=2), RelabelDelta(row=2, label=1),
+                DeleteDelta(row=99),
+            ])
+        assert auditor.digest() == digest
+        assert "b1" not in auditor.applied_ids

@@ -8,18 +8,22 @@ zero completed batches — every one surfaces as a typed
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.data.schema import Column, Schema
+from repro.data.io import canonical_json
 from repro.errors import JournalError, StreamError
+from repro.stream.deltas import DeleteDelta, InsertDelta, RelabelDelta
 from repro.stream.journal import (
     CURRENT_FILE,
     DeltaLog,
     StreamConfig,
     _SEGMENT_RE,
+    batch_deltas,
 )
 
 
@@ -34,8 +38,8 @@ def config() -> StreamConfig:
     return StreamConfig(schema=schema, protected=("a", "b"), k=2)
 
 
-def batch(i: int) -> list[list]:
-    return [["i", [i % 2, i % 3], i % 2]]
+def batch(i: int) -> list[InsertDelta]:
+    return [InsertDelta(values=(i % 2, i % 3), label=i % 2)]
 
 
 def fill(log: DeltaLog, n: int, start: int = 0) -> None:
@@ -145,7 +149,7 @@ class TestRecoveryEdges:
         prev_env = json.loads(lines[-1])
         from repro.stream.journal import _record_sha
 
-        payload = {"id": "b1", "deltas": batch(9), "manifest": {}}
+        payload = {"id": "b1", "deltas": [d.to_record() for d in batch(9)], "manifest": {}}
         seq = prev_env["seq"] + 1
         sha = _record_sha(prev_env["sha"], seq, "batch", payload)
         forged = {
@@ -393,3 +397,96 @@ class TestDeadLetters:
         assert len(log.dead_letters()) == 3
         outstanding = log.outstanding_dead_letters()
         assert [e["id"] for e in outstanding] == ["dl-2"]
+
+    def dead_lettered(self, tmp_path, config, n=3):
+        log = DeltaLog.create(tmp_path / "s", config)
+        fill(log, 1)
+        for i in range(n):
+            log.append_dead_letter(
+                {"id": f"dl-{i}", "batch": "b0", "delta": ["d", 9],
+                 "error": "unknown row", "attempts": 1, "status": "quarantined"}
+            )
+        log.close()
+        return log.deadletter_path
+
+    def test_recover_clips_a_torn_dead_letter_tail(self, tmp_path, config):
+        path = self.dead_lettered(tmp_path, config)
+        data = path.read_bytes()
+        path.write_bytes(data[:-10])  # a kill mid-append of the last entry
+        last_line = len(data.splitlines(keepends=True)[-1])
+        log, report = DeltaLog.recover(tmp_path / "s")
+        assert report.dead_letter_truncated_bytes == last_line - 10
+        assert (
+            f"truncated {last_line - 10} torn bytes from deadletter.jsonl"
+            in report.describe()
+        )
+        assert [e["id"] for e in log.dead_letters()] == ["dl-0", "dl-1"]
+        assert path.read_bytes().endswith(b"\n")
+        log.close()
+
+    def test_strict_open_leaves_a_torn_dead_letter_tail(self, tmp_path, config):
+        path = self.dead_lettered(tmp_path, config)
+        torn = path.read_bytes()[:-10]
+        path.write_bytes(torn)
+        log = DeltaLog.open(tmp_path / "s")
+        with pytest.raises(JournalError, match="unparsable dead-letter record"):
+            log.dead_letters()
+        assert path.read_bytes() == torn
+
+    def test_a_bad_dead_letter_line_before_others_still_raises(
+        self, tmp_path, config
+    ):
+        path = self.dead_lettered(tmp_path, config)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1][:20] + b"\n"
+        path.write_bytes(b"".join(lines))
+        log, report = DeltaLog.recover(tmp_path / "s")
+        assert report.dead_letter_truncated_bytes == 0
+        with pytest.raises(JournalError, match="unparsable dead-letter record"):
+            log.dead_letters()
+        log.close()
+
+
+class TestColumnarRecord:
+    def test_new_journals_are_version_2(self, tmp_path, config):
+        DeltaLog.create(tmp_path / "s", config).close()
+        (genesis,) = DeltaLog.open(tmp_path / "s").records()
+        assert genesis.payload["version"] == 2
+
+    def test_a_batch_is_one_columnar_record_encoded_canonically(
+        self, tmp_path, config
+    ):
+        log = DeltaLog.create(tmp_path / "s", config)
+        deltas = [
+            InsertDelta(values=(1, 2), label=1),
+            DeleteDelta(row=0),
+            InsertDelta(values=(0.0, 1), label=0),
+            RelabelDelta(row=1, label=0),
+        ]
+        batch_id = "bé中"  # escaped as \uXXXX by the encoder
+        log.append_batch(batch_id, deltas)
+        log.close()
+        line = segments(tmp_path / "s")[0].read_bytes().splitlines()[-1]
+        envelope = json.loads(line)
+        payload = envelope["payload"]
+        assert sorted(payload) == ["columns", "id", "manifest"]
+        assert payload["id"] == batch_id
+        assert payload["columns"] == {
+            "labels": [1, 0, 0], "ops": "idir", "rows": [0, 1],
+            "values": [[1, 0], [2, 1]],
+        }
+        manifest = payload["manifest"]
+        assert (manifest["n_deltas"], manifest["n_insert"]) == (4, 2)
+        assert (manifest["n_delete"], manifest["n_relabel"]) == (1, 1)
+        # Encoded once and spliced: byte-equal to encoding the dicts.
+        assert line.decode("ascii") == canonical_json(envelope)
+        assert manifest["sha"] == hashlib.sha256(
+            canonical_json(payload["columns"]).encode()
+        ).hexdigest()
+        (record,) = [r for r in DeltaLog.open(tmp_path / "s").records() if r.type == "batch"]
+        assert list(batch_deltas(record.payload).deltas()) == deltas
+
+    def test_a_version_1_batch_record_still_reads(self, tmp_path, config):
+        deltas = [InsertDelta(values=(1, 2), label=1), DeleteDelta(row=0)]
+        payload = {"id": "b0", "deltas": [d.to_record() for d in deltas]}
+        assert list(batch_deltas(payload).deltas()) == deltas

@@ -6,8 +6,8 @@ import pytest
 
 from repro.data.schema import Column, Schema
 from repro.errors import BackpressureError, JournalError, StreamError
-from repro.stream.deltas import DeleteDelta, InsertDelta
-from repro.stream.journal import StreamConfig
+from repro.stream.deltas import DeleteDelta, InsertDelta, RelabelDelta
+from repro.stream.journal import StreamConfig, batch_deltas
 from repro.stream.service import StreamService
 
 
@@ -73,7 +73,7 @@ class TestQuarantine:
         # Replay sees only the applied deltas: the journal holds no poison.
         for record in service.log.records():
             if record.type == "batch":
-                assert ["d", 99] not in record.payload["deltas"]
+                assert DeleteDelta(row=99) not in batch_deltas(record.payload).deltas()
         service.close()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -200,3 +200,102 @@ class TestCompaction:
         bad.write_text("not json\n")
         with pytest.raises(StreamError, match="not valid JSON"):
             read_batches_file(bad)
+
+
+class TestDeadLettersAndOddInputs:
+    def test_a_poisoned_batch_dead_letters_the_pinned_bytes(self, tmp_path):
+        # Every kind of poison, with a float code and a bool label that are
+        # valid; the expected lines were written by the per-delta service.
+        schema = Schema(
+            [
+                Column("a", "categorical", ("a0", "a1")),
+                Column("b", "categorical", ("b0", "b1", "b2")),
+                Column("x", "numeric"),
+            ]
+        )
+        config = StreamConfig(schema=schema, protected=("a", "b"), tau_c=0.1, k=2)
+        service = StreamService.create(tmp_path / "s", config)
+        service.ingest(
+            [("b0", [InsertDelta((i % 2, i % 3, 0.5 * i), i % 2) for i in range(12)])]
+        )
+        huge = 10**400
+        service.ingest([("b1", [
+            InsertDelta((7, 0, 0.5), 1),
+            InsertDelta((0, 0, float("nan")), 1),
+            InsertDelta((0, 0, float("-inf")), 0),
+            InsertDelta((1.5, 0, 0.0), 0),
+            InsertDelta((1.0, 2, 0.0), 1),
+            InsertDelta((0, 1, 2.0), 2),
+            InsertDelta((0, 1), 1),
+            InsertDelta((1, 1, huge), 1),
+            DeleteDelta(99),
+            DeleteDelta(3), DeleteDelta(3),
+            RelabelDelta(3, 1),
+            RelabelDelta(4, 5),
+            RelabelDelta(12, 0),
+            DeleteDelta(13),
+            InsertDelta((1, 0, 1e308), True),
+        ])])
+        entry = '{"attempts":1,"batch":"b1","delta":%s,"error":"%s","id":"dl-%d","status":"quarantined"}'
+        poison = [
+            ('["i",[7,0,0.5],1]', "column 'a' has code 7 at row 12, outside [0, 2)"),
+            ('["i",[0,0,NaN],1]', "column 'x' has non-finite value nan at row 12; features must be finite (no NaN/inf)"),
+            ('["i",[0,0,-Infinity],0]', "column 'x' has non-finite value -inf at row 12; features must be finite (no NaN/inf)"),
+            ('["i",[1.5,0,0.0],0]', "column 'a' has code 1.5 at row 12, outside [0, 2)"),
+            ('["i",[0,1,2.0],2]', "labels must be binary 0/1; row 13 has 2"),
+            ('["i",[0,1],1]', "insert for row 13 has 2 values for 3 schema columns ['a', 'b', 'x']"),
+            (f'["i",[1,1,{huge}],1]', f"column 'x' has non-finite value {huge} at row 13; features must be finite (no NaN/inf)"),
+            ('["d",99]', "delete targets unknown row 99; ids 0..12 have been inserted"),
+            ('["d",3]', "delete targets dead row 3 (already deleted)"),
+            ('["r",3,1]', "relabel targets dead row 3 (already deleted)"),
+            ('["r",4,5]', "labels must be binary 0/1; row 4 has 5"),
+            ('["d",13]', "delete targets unknown row 13; ids 0..12 have been inserted"),
+        ]
+        expected = "".join(
+            entry % (delta, error, i) + "\n"
+            for i, (delta, error) in enumerate(poison, start=1)
+        )
+        assert service.log.deadletter_path.read_text() == expected
+        # The float code and the bool label applied as 1.
+        assert service.auditor.state.next_row_id == 14
+        assert service.auditor.state.n_alive == 13
+        service.close()
+
+    def test_open_clips_a_torn_dead_letter_tail(self, tmp_path, capsys):
+        from repro.cli import EXIT_OK, main
+
+        service = StreamService.create(tmp_path / "s", make_config())
+        service.ingest(
+            [("b0", [insert(0, 0, 1), DeleteDelta(row=7), DeleteDelta(row=8)])]
+        )
+        service.close()
+        path = service.log.deadletter_path
+        path.write_bytes(path.read_bytes()[:-10])
+        assert main(["stream", "status", str(tmp_path / "s")]) == EXIT_OK
+        assert "torn bytes from deadletter.jsonl" in capsys.readouterr().out
+        reopened, report = StreamService.open(tmp_path / "s")
+        assert report.dead_letter_truncated_bytes == 0  # clipped already
+        assert [e["delta"] for e in reopened.log.dead_letters()] == [["d", 7]]
+        reopened.ingest([("b1", [DeleteDelta(row=9)])])
+        assert [e["id"] for e in reopened.log.dead_letters()] == ["dl-1", "dl-2"]
+        reopened.close()
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            # A float row naming a row inserted earlier in the batch.
+            [InsertDelta(values=(0, 1), label=1), DeleteDelta(row=0.0)],
+            # A bool code: the journal must still hold an int.
+            [InsertDelta(values=(True, 2), label=1)],
+        ],
+        ids=["float-row", "bool-code"],
+    )
+    def test_odd_valid_inputs_apply_and_replay(self, tmp_path, batch):
+        service = StreamService.create(tmp_path / "s", make_config())
+        service.ingest([("b0", batch)])
+        assert service.auditor.n_batches == 1
+        live = service.auditor.digest()
+        service.close()
+        reopened, _report = StreamService.open(tmp_path / "s")
+        assert reopened.auditor.digest() == live
+        reopened.close()
