@@ -29,6 +29,11 @@ Runs the repository's quality gates in order, fail-fast::
                        oracles that pin IBS output over the row store and
                        pin remedy output to the per-region reference loop
                        (slow-marked, so tier1 skips them)
+    paper-figures      the paper-figure suite (benchmarks/ without the
+                       engine timing comparison): regenerates Figs. 3-9,
+                       Tables II-III and the ablations at reduced size and
+                       checks their shape claims, which a remedy change
+                       can move
     serve-chaos        the audit gateway's process-level drills: strict
                        lint of the serve package, then the chaos drills of
                        this stage (crash mid-ingest and mid-fetch, a remedy
@@ -155,6 +160,15 @@ def stage_commands(
                 [PYTHON, "-m", "pytest", "-q", "tests/test_properties_store.py",
                  "tests/test_properties_engines.py",
                  "tests/test_properties_remedy.py"],
+            ],
+        ),
+        (
+            "paper-figures",
+            [
+                # Timing-free: the engine comparison is a perf gate and
+                # runs in bench-regression.
+                [PYTHON, "-m", "pytest", "benchmarks", "--benchmark-disable",
+                 "--ignore=benchmarks/test_engine_comparison.py", "-q"],
             ],
         ),
         (

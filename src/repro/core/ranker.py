@@ -4,8 +4,12 @@
 identify the borderline instances, which have a higher probability of
 belonging to another class".  The ranker here is the mixed categorical +
 Gaussian naive Bayes of :mod:`repro.ml.naive_bayes`, fitted once on the
-training data; the remedy asks it for the top-k most borderline positives or
-negatives inside a region.
+training data.  A row's score depends only on its own features, which no
+technique edits, so the remedy scores every input row once
+(:meth:`BorderlineRanker.positive_scores`) and a duplicate carries its
+origin's score.  The top-k most borderline positives or negatives of a
+region are then ranked by indexing that score column: no rows are copied
+and the model is not asked again.
 """
 
 from __future__ import annotations
@@ -32,59 +36,67 @@ class BorderlineRanker:
         return self
 
     def positive_scores(self, dataset: Dataset) -> np.ndarray:
-        """P(y=1 | x) for every row."""
+        """P(y=1 | x) for every row.
+
+        Each row is scored on its own features alone, so scoring a subset
+        gives the same bits as indexing the whole dataset's scores
+        (``tests/test_ranker.py`` checks this on in-memory and sharded
+        tables).
+        """
         if not self._fitted:
             raise FitError("BorderlineRanker must be fitted first")
         return self._model.predict_proba(dataset)
 
+    @staticmethod
     def borderline_positives(
-        self,
-        dataset: Dataset,
+        scores: np.ndarray,
         candidate_indices: np.ndarray,
         k: int,
         cycle: bool = False,
     ) -> np.ndarray:
         """Top-``k`` candidates (positive rows) most likely to be negative.
 
-        Candidates are row indices into ``dataset``; the caller guarantees
-        they are positive instances.  Returns at most ``k`` indices, ranked
-        most-borderline first; ties break on row index for determinism.
-        With ``cycle=True`` and fewer than ``k`` candidates, the ranked list
-        repeats cyclically to exactly ``k`` entries — the Kamiran–Calders
-        behaviour when a class is too small to supply ``k`` distinct
-        duplicates (only meaningful for duplication, never for removal).
+        ``scores`` holds P(y=1 | x) per row (:meth:`positive_scores`) and
+        candidates are indices into it; the caller guarantees they are
+        positive instances.  Returns at most ``k`` indices, ranked
+        most-borderline first; ties break on ascending index for
+        determinism.  With ``cycle=True`` and fewer than ``k`` candidates,
+        the ranked list repeats cyclically to exactly ``k`` entries — the
+        Kamiran–Calders behaviour when a class is too small to supply ``k``
+        distinct duplicates (only meaningful for duplication, never for
+        removal).
         """
-        return self._top_k(dataset, candidate_indices, k, False, cycle)
+        return _top_k(scores, candidate_indices, k, False, cycle)
 
+    @staticmethod
     def borderline_negatives(
-        self,
-        dataset: Dataset,
+        scores: np.ndarray,
         candidate_indices: np.ndarray,
         k: int,
         cycle: bool = False,
     ) -> np.ndarray:
         """Top-``k`` candidates (negative rows) most likely to be positive."""
-        return self._top_k(dataset, candidate_indices, k, True, cycle)
+        return _top_k(scores, candidate_indices, k, True, cycle)
 
-    def _top_k(
-        self,
-        dataset: Dataset,
-        candidate_indices: np.ndarray,
-        k: int,
-        want_positive: bool,
-        cycle: bool,
-    ) -> np.ndarray:
-        candidate_indices = np.asarray(candidate_indices, dtype=np.int64)
-        if k <= 0 or candidate_indices.size == 0:
-            return np.empty(0, dtype=np.int64)
-        scores = self.positive_scores(dataset.take(candidate_indices))
-        keyed = scores if want_positive else 1.0 - scores
-        # Sort by descending borderline score, then ascending index.
-        order = np.lexsort((candidate_indices, -keyed))
-        ranked = candidate_indices[order]
-        if k <= ranked.size:
-            return ranked[:k]
-        if not cycle:
-            return ranked
-        reps = int(np.ceil(k / ranked.size))
-        return np.tile(ranked, reps)[:k]
+
+def _top_k(
+    scores: np.ndarray,
+    candidate_indices: np.ndarray,
+    k: int,
+    want_positive: bool,
+    cycle: bool,
+) -> np.ndarray:
+    candidate_indices = np.asarray(candidate_indices, dtype=np.int64)
+    if k <= 0 or candidate_indices.size == 0:
+        return np.empty(0, dtype=np.int64)
+    picked = np.asarray(scores)[candidate_indices]
+    keyed = picked if want_positive else 1.0 - picked
+    # Sort by descending borderline score, then ascending index.
+    order = np.lexsort((candidate_indices, -keyed))
+    ranked = candidate_indices[order]
+    if k <= ranked.size:
+        return ranked[:k]
+    if not cycle:
+        return ranked
+    reps = int(np.ceil(k / ranked.size))
+    return np.tile(ranked, reps)[:k]

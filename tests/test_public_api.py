@@ -1,8 +1,12 @@
 """Public-API hygiene: every exported name exists and imports cleanly."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
+
+REPO = Path(__file__).resolve().parent.parent
 
 PACKAGES = (
     "repro",
@@ -45,3 +49,26 @@ def test_cli_module_importable():
 
     parser = build_parser()
     assert parser.prog == "repro"
+
+
+def test_sanctioned_packages_are_declared_and_installed():
+    """Every third-party package the import rule (R001) allows is a declared
+    dependency and is installed by the CI workflow."""
+    tomllib = pytest.importorskip("tomllib")
+    from repro.analysis import SANCTIONED_PACKAGES
+
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower()
+        for spec in project["dependencies"]
+    }
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    installed = {
+        word
+        for line in workflow.splitlines()
+        if "pip install" in line
+        for word in line.split("pip install", 1)[1].split()
+    }
+    for package in sorted(SANCTIONED_PACKAGES - {"repro"}):
+        assert package in declared, f"{package} missing from pyproject.toml"
+        assert package in installed, f"{package} missing from the CI install line"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import BorderlineRanker
+from repro.data.store import ShardedDataset, iter_chunks, write_store
+from repro.data.synth.adult import load_adult
 from repro.errors import FitError
 
 
@@ -31,9 +33,9 @@ class TestRanker:
     def test_borderline_positives_ranking(self, biased_dataset):
         ranker = BorderlineRanker().fit(biased_dataset)
         pos_idx = np.flatnonzero(biased_dataset.y == 1)
-        top = ranker.borderline_positives(biased_dataset, pos_idx, 5)
-        assert len(top) == 5
         scores = ranker.positive_scores(biased_dataset)
+        top = ranker.borderline_positives(scores, pos_idx, 5)
+        assert len(top) == 5
         # Selected positives must have the *lowest* positive scores.
         threshold = np.sort(scores[pos_idx])[4]
         assert (scores[top] <= threshold + 1e-12).all()
@@ -41,25 +43,52 @@ class TestRanker:
     def test_borderline_negatives_ranking(self, biased_dataset):
         ranker = BorderlineRanker().fit(biased_dataset)
         neg_idx = np.flatnonzero(biased_dataset.y == 0)
-        top = ranker.borderline_negatives(biased_dataset, neg_idx, 5)
         scores = ranker.positive_scores(biased_dataset)
+        top = ranker.borderline_negatives(scores, neg_idx, 5)
         threshold = np.sort(scores[neg_idx])[::-1][4]
         assert (scores[top] >= threshold - 1e-12).all()
 
     def test_k_larger_than_candidates(self, biased_dataset):
         ranker = BorderlineRanker().fit(biased_dataset)
         idx = np.array([0, 1, 2])
-        top = ranker.borderline_positives(biased_dataset, idx, 100)
+        scores = ranker.positive_scores(biased_dataset)
+        top = ranker.borderline_positives(scores, idx, 100)
         assert len(top) == 3
 
     def test_k_zero_or_empty(self, biased_dataset):
         ranker = BorderlineRanker().fit(biased_dataset)
-        assert ranker.borderline_positives(biased_dataset, np.array([1, 2]), 0).size == 0
-        assert ranker.borderline_positives(biased_dataset, np.array([], dtype=int), 5).size == 0
+        scores = ranker.positive_scores(biased_dataset)
+        assert ranker.borderline_positives(scores, np.array([1, 2]), 0).size == 0
+        assert ranker.borderline_positives(scores, np.array([], dtype=int), 5).size == 0
 
     def test_deterministic(self, biased_dataset):
         ranker = BorderlineRanker().fit(biased_dataset)
         idx = np.flatnonzero(biased_dataset.y == 1)
-        a = ranker.borderline_positives(biased_dataset, idx, 7)
-        b = ranker.borderline_positives(biased_dataset, idx, 7)
+        scores = ranker.positive_scores(biased_dataset)
+        a = ranker.borderline_positives(scores, idx, 7)
+        b = ranker.borderline_positives(scores, idx, 7)
         assert np.array_equal(a, b)
+
+
+class TestScoreColumn:
+    """The remedy scores every row once and ranks by indexing that column,
+    so a row's score must not depend on the rows scored with it."""
+
+    def test_subset_scores_are_bit_equal(self, tmp_path):
+        dataset = load_adult(3000)
+        ranker = BorderlineRanker().fit(dataset)
+        whole = ranker.positive_scores(dataset).view(np.int64)
+        write_store(tmp_path / "adult", iter_chunks(dataset, 700), 700)
+        rng = np.random.default_rng(0)
+        # 1-17 rows covers every SIMD tail length; the rest span the chunks.
+        sizes = [*range(1, 18), 31, 64, 257, 1000, dataset.n_rows]
+        with ShardedDataset.open(tmp_path / "adult") as twin:
+            assert np.array_equal(ranker.positive_scores(twin).view(np.int64), whole)
+            for size in sizes:
+                for replace in (False, True, True):
+                    subset = rng.choice(dataset.n_rows, size=size, replace=replace)
+                    for table in (dataset, twin):
+                        got = ranker.positive_scores(table.take(subset))
+                        assert np.array_equal(got.view(np.int64), whole[subset]), (
+                            size, replace, type(table).__name__,
+                        )

@@ -59,6 +59,27 @@ class TestRemedy:
         with pytest.raises(RemedyError):
             remedy_dataset(empty, 0.3)
 
+    @pytest.mark.parametrize("technique", TECHNIQUES)
+    def test_one_class_dataset_is_noop(self, toy_schema, technique):
+        """Every target is undefined or already met, so nothing is remedied;
+        the ranked techniques must not try to fit a ranker on one class."""
+        from repro.data import Dataset
+
+        rng = np.random.default_rng(0)
+        one_class = Dataset(
+            toy_schema,
+            {
+                "age": rng.integers(0, 3, 40),
+                "sex": rng.integers(0, 2, 40),
+                "score": rng.normal(size=40),
+            },
+            np.ones(40, int),
+            protected=("age", "sex"),
+        )
+        result = remedy_dataset(one_class, 0.1, k=2, technique=technique)
+        assert result.n_regions_remedied == 0
+        assert result.dataset is one_class
+
     def test_huge_tau_is_noop(self, biased_dataset):
         result = remedy_dataset(biased_dataset, tau_c=1e9, k=10, technique="massaging")
         assert result.n_regions_remedied == 0
@@ -159,6 +180,49 @@ class TestIncrementalHierarchy:
                 assert np.array_equal(kept.pos, node.pos), node.attrs
                 assert np.array_equal(kept.neg, node.neg), node.attrs
 
+    def test_rows_copied_once_and_scored_once(self, monkeypatch):
+        """Acceptance pin: the loop edits a row index, not the dataset.
+
+        A lattice preferential remedy that applies regions in several nodes
+        builds its result with one ``drop``, one ``take`` and one
+        ``append_rows``, and scores the rows once.  Calls made inside one of
+        these (``drop`` takes its kept rows) count as part of it, as the
+        ``dataset.rowcopy`` span nests them.
+        """
+        from repro.core.ranker import BorderlineRanker
+        from repro.data.dataset import Dataset
+
+        dataset = load_adult(3000).with_protected(SCALABILITY_PROTECTED)
+        calls: dict[str, int] = {}
+        depth = [0]
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                if depth[0] == 0:
+                    calls[name] = calls.get(name, 0) + 1
+                depth[0] += 1
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("drop", "take", "append_rows"):
+            counting(Dataset, name)
+        counting(BorderlineRanker, "positive_scores")
+        result = remedy_dataset(
+            dataset, 0.3, k=30, technique="preferential", scope="lattice",
+            method="vectorized", seed=7,
+        )
+        edited_nodes = {u.pattern.attrs for u in result.updates}
+        assert len(edited_nodes) >= 2, "needs edits in several nodes"
+        assert calls.get("positive_scores") == 1
+        for name in ("drop", "take", "append_rows"):
+            assert calls.get(name, 0) <= 1, (name, calls)
+
     def test_prebuilt_hierarchy_accepted(self, biased_dataset):
         h = Hierarchy(biased_dataset)
         result = remedy_dataset(
@@ -189,8 +253,9 @@ class TestPinnedOutput:
 
     Any change of row order, rng draws or ranker ties moves a digest.  The
     leaf scope puts ~22 regions in one node; the lattice scope spreads ~45
-    over ~30 nodes.  Oversampling is pinned at the leaf only: over the
-    lattice its per-region growth (up to 10x) compounds to millions of rows.
+    over ~30 nodes.  Lattice oversampling is pinned at τ_c 0.6: at 0.3 its
+    per-region growth (up to 10x) compounds to millions of rows, while at
+    0.6 it grows 3,000 rows to 579,634 over 202 regions.
     """
 
     @pytest.mark.parametrize(
@@ -212,3 +277,14 @@ class TestPinnedOutput:
         )
         assert len(result.updates) == n_updates
         assert remedied_digest(result.dataset) == digest
+
+    def test_lattice_oversampling_digest(self, adult_3000):
+        result = remedy_dataset(
+            adult_3000, 0.6, k=30, technique="oversampling", scope="lattice",
+            method="vectorized", seed=7,
+        )
+        assert len(result.updates) == 202
+        assert result.dataset.n_rows == 579_634
+        assert remedied_digest(result.dataset) == (
+            "2b84628a53da0ec3720a99a27d01a07252cf28f07dee56679aa34ac880387427"
+        )
